@@ -79,7 +79,6 @@ class ReplaySpec:
     min_seq: int | None = None
     max_seq: int | None = None
     batch_size: int = 65536
-    merge_concurrency: int | None = None  # None -> let Ray size the pool
     #: bounded merge state (SURVEY §7.5 item 1): a partition whose shuffled
     #: group exceeds this many rows is merged in key-hash slices with
     #: streaming row-group writes, so the merge working set (sort + prior
@@ -136,7 +135,9 @@ class ReplaySpec:
 
     @staticmethod
     def from_json(s: str) -> "ReplaySpec":
-        return ReplaySpec(**json.loads(s))
+        d = json.loads(s)
+        d.pop("merge_concurrency", None)  # retired merge-pool size knob
+        return ReplaySpec(**d)
 
 
 def resolve_hook(path: str):

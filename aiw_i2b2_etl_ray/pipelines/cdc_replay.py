@@ -3,9 +3,9 @@
 Logical plan (one wide shuffle total):
 
     read_parquet (pruned)                          # sources.read_changes
-      -> map_batches(Normalizer, pyarrow, actors)  # digest + validate + pkey
+      -> map_batches(Normalizer, pyarrow, tasks)   # digest + validate + pkey
       -> [filter: skip committed partitions]       # resume path
-      -> groupby(pkey).map_groups(PartitionMerger) # THE shuffle + merge
+      -> groupby(pkey).map_groups(_merge_group)    # THE shuffle + merge
       -> [driver] fold hot-key winners             # tiny per-key reduce
       -> dims from the (already reduced) fact output
 
@@ -124,22 +124,20 @@ def normalized(
     )
 
 
+def _merge_group(group: pa.Table, merger_kwargs: dict) -> pa.Table:
+    return PartitionMerger(**merger_kwargs)(group)
+
+
 def merged_groups(norm: rd.Dataset, merger_kwargs: dict, spec: ReplaySpec) -> rd.Dataset:
-    # AUTOSCALING actor pool (1, ~cpus): merge actors only exist after the
-    # sort barrier releases blocks; a fixed pre-started pool would squat on
-    # CPUs (num_cpus=1 each) while idle and starve read/normalize/sort —
-    # measured 3x slower than autoscaling on the 10M-event bench.
-    conc = spec.merge_concurrency
-    if conc is None:
-        conc = (1, max(2, int(ray.cluster_resources().get("CPU", 8))))
-    kwargs = {"concurrency": conc}
+    # stateless tasks, like normalize: the merger's only state is the
+    # broadcast watermark map, fetched from the local object store.
+    # ``spec`` is unused; kept for the call signature perfbench and
+    # test_merge_policy use.
     return norm.groupby("pkey").map_groups(
-        PartitionMerger,
-        fn_constructor_kwargs=merger_kwargs,
+        _merge_group,
+        fn_kwargs={"merger_kwargs": merger_kwargs},
         batch_format="pyarrow",
-        num_cpus=1,
         **worker_runtime_env(),
-        **kwargs,
     )
 
 
@@ -164,11 +162,10 @@ def replay(
         ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
     # NOTE: ShuffleStrategy.HASH_SHUFFLE was evaluated for this exchange
     # (the merge needs co-location, not order, so a sort looks like wasted
-    # work) and REJECTED: 3-6x slower than push-based sort shuffle at the
-    # 2M-event scale, and its dedicated aggregator actors deadlock against
-    # the autoscaling merge pool under constrained CPU (hangs at
-    # num_cpus=8) — the same actor-pool-starves-internal-tasks failure
-    # mode as the round-2 pool-before-sort livelock (BASELINE.md).
+    # work) and REJECTED: with every stage on tasks, a 40k-event replay
+    # under it had not finished after 300 s on 4 CPUs (by default it asks
+    # for 64 aggregator actors: 16 CPUs, 33 GiB).  Push and pull sort
+    # shuffles were within noise there (1.08 s vs 0.97 s median of 7).
     try:
         return _replay_impl(
             input_path,
@@ -267,7 +264,7 @@ def _replay_impl(
             thr = max(1, int(spec.hot_key_threshold * frac))
             sample_bytes = sum(os.path.getsize(f) for f in sample)
             if sample_bytes < 2 << 30:
-                # small sample: a driver-local polars scan (column-pruned)
+                # small sample: a driver-local DuckDB scan (column-pruned)
                 # beats spinning up a Ray stage by seconds of fixed cost
                 hot_keys = find_hot_keys_local(sample, thr) or None
             else:

@@ -84,9 +84,9 @@ def _stats_partial(t: pa.Table) -> pa.Table:
                 # strftime is monotone, so min/max of images == image of
                 # min/max even if a future table carries sub-second parts.
                 # Arrow's %S prints fractional digits for sub-second
-                # units — truncate to seconds first (monotone, matches
-                # DuckDB's integer-seconds %S)
-                sec = pc.cast(col, pa.timestamp("s"), safe=False)
+                # units — floor to seconds first (monotone, and floors
+                # pre-epoch values like DuckDB's integer-seconds %S)
+                sec = pc.cast(pc.floor_temporal(col, unit="second"), pa.timestamp("s"))
                 s = pc.strftime(sec, format="%Y-%m-%d %H:%M:%S")
                 mm = pc.min_max(s).as_py() if n != nulls else {"min": None, "max": None}
             rows["min_i"].append(None)
@@ -94,6 +94,13 @@ def _stats_partial(t: pa.Table) -> pa.Table:
             rows["min_s"].append(mm["min"])
             rows["max_s"].append(mm["max"])
     return pa.table(rows, schema=_PARTIAL_SCHEMA)
+
+
+def _pairs_table(cols: list, vals: list, v_type: pa.DataType) -> pa.Table:
+    """(col, v) pairs, typed and empty when no column is of the kind."""
+    if not cols:
+        return pa.table({"col": pa.array([], pa.string()), "v": pa.array([], v_type)})
+    return pa.table({"col": pa.concat_arrays(cols), "v": pa.concat_arrays(vals)})
 
 
 def _distinct_pairs_int(t: pa.Table) -> pa.Table:
@@ -112,12 +119,7 @@ def _distinct_pairs_int(t: pa.Table) -> pa.Table:
         u = pc.unique(pc.drop_null(col))
         cols.append(pa.array([name] * len(u), pa.string()))
         vals.append(u.combine_chunks() if isinstance(u, pa.ChunkedArray) else u)
-    return pa.table(
-        {
-            "col": pa.concat_arrays(cols),
-            "v": pa.concat_arrays(vals) if vals else pa.array([], pa.int64()),
-        }
-    )
+    return _pairs_table(cols, vals, pa.int64())
 
 
 def _distinct_pairs_str(t: pa.Table) -> pa.Table:
@@ -130,12 +132,7 @@ def _distinct_pairs_str(t: pa.Table) -> pa.Table:
         u = u.cast(pa.string())
         cols.append(pa.array([name] * len(u), pa.string()))
         vals.append(u.combine_chunks() if isinstance(u, pa.ChunkedArray) else u)
-    return pa.table(
-        {
-            "col": pa.concat_arrays(cols),
-            "v": pa.concat_arrays(vals) if vals else pa.array([], pa.string()),
-        }
-    )
+    return _pairs_table(cols, vals, pa.string())
 
 
 def table_profile(sf_dir: str) -> pa.Table:
@@ -304,6 +301,10 @@ def fk_orphans(sf_dir: str) -> pa.Table:
     joins; the reference's analog is the post-load counts reconciliation
     (A1, `dest/I2b2QueryResultsHandler.java` table-count logging) extended
     to cross-table key containment.
+
+    Precondition: parent keys are unique (primary keys, as in TPC-H).  A
+    child row matches if its FK is in the parent key SET; the oracle's
+    ``LEFT JOIN ... COUNT(*)`` would fan it out per duplicate parent key.
 
     Scale plan: child rows never shuffle — each child table is read ONCE
     for ALL of its FK edges (lineitem's three edges share one pass) and a

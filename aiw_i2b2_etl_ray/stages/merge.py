@@ -3,10 +3,10 @@ temp-table -> ``EK_*`` merge stored procedures
 (dest/I2b2QueryResultsHandler.java:508-686; proc contract :97-161; H2 mocks
 src/main/resources/sql/mock_stored_procedures_h2.sql:22-92).
 
-Physical plan: ``ds.groupby("pkey").map_groups(PartitionMerger, ...)`` — a
-sort-based all-to-all exchange on the int32 partition key (the ONLY wide
-shuffle in the pipeline, moving ~100 B/row because content was digested in
-normalize), then one vectorized merge call per partition on an actor pool.
+Physical plan: ``ds.groupby("pkey").map_groups(...)`` — a sort-based
+all-to-all exchange on the int32 partition key (the ONLY wide shuffle in
+the pipeline, ~100 B/row because content was digested in normalize), then
+one vectorized ``PartitionMerger`` call per partition in a stateless task.
 
 Per-partition merge semantics (all vectorized via polars; no Python row
 loops):
@@ -188,9 +188,9 @@ def fan_out_facts(df: pl.DataFrame, modifier_names: tuple = ()) -> pl.DataFrame:
 
 
 class PartitionMerger:
-    """map_groups callable-class (actor pool).  Constructed once per actor:
-    spec + broadcast watermark map are deserialized in ``__init__``, not per
-    partition (the stateful-stage rule).
+    """The per-partition merge, built once per partition inside a stateless
+    task (``cdc_replay.merged_groups``); ``__init__`` fetches the broadcast
+    watermark map, its only state, from the local object store.
 
     emit:
         "checkpoint" — side-write partition outputs + manifest; return hot

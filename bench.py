@@ -173,7 +173,6 @@ def run_headline(n_events: int, reps: int = 2) -> dict:
             num_partitions=max(32, NUM_CPUS * 4),
             salt_buckets=8,
             hot_key_threshold=max(100_000, n_events // 10),
-            merge_concurrency=(1, NUM_CPUS),
         )
         t0 = time.perf_counter()
         summary = replay(inp, spec)

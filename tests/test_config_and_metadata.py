@@ -23,6 +23,20 @@ def test_spec_json_roundtrip():
     assert ReplaySpec.from_json(spec.to_json()) == spec
 
 
+def test_spec_json_with_retired_merge_pool_knob_loads():
+    """A spec saved while the merge ran on a sized actor pool still loads;
+    the retired knob is dropped and the spec round-trips without it."""
+    import json
+
+    spec = ReplaySpec(out_dir="/tmp/x", num_partitions=7)
+    legacy = json.loads(spec.to_json())
+    legacy["merge_concurrency"] = [1, 4]
+    back = ReplaySpec.from_json(json.dumps(legacy))
+    assert back == spec
+    assert "merge_concurrency" not in json.loads(back.to_json())
+    assert ReplaySpec.from_json(back.to_json()) == spec
+
+
 def test_load_mapping_tsv(tmp_path):
     f = tmp_path / "gender.txt"
     f.write_text("# comment\nM\tMale\nF\tFemale\n\nU\tUnknown\n")

@@ -1,0 +1,152 @@
+"""The replay's keyed merge runs as stateless Ray tasks, not an actor pool.
+
+An actor pool at the merge held a CPU per actor: with one logical CPU the
+pool took the only slot while the read/normalize/sort tasks it waited on
+could not be scheduled, and a replay never finished.  These tests pin the
+task-based plan and run a salted replace + update pair in a Ray session of
+its own with ``num_cpus=1``.
+"""
+
+import json
+import os
+import signal
+import subprocess
+import sys
+
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import pytest
+
+from aiw_i2b2_etl_ray.config import ReplaySpec
+from aiw_i2b2_etl_ray.pipelines import cdc_replay
+
+from .util import assert_table_eq
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: a 40k-event replay takes a few seconds at num_cpus=1; the pool-based
+#: merge never finished one at all
+ONE_CPU_TIMEOUT_S = 120
+
+_ONE_CPU_SCRIPT = """
+import json, sys
+import ray
+from aiw_i2b2_etl_ray.util import cap_kernel_threads
+cap_kernel_threads()
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from aiw_i2b2_etl_ray.config import ReplaySpec
+from aiw_i2b2_etl_ray.pipelines.cdc_replay import replay
+head, tail, out = sys.argv[1:4]
+kw = dict(out_dir=out, num_partitions=8, salt_buckets=4, hot_key_threshold=200)
+first = replay(head, ReplaySpec(**kw))
+second = replay(tail, ReplaySpec(mode="update", **kw))
+print(json.dumps({"replace": first["lineage"], "update": second["lineage"]}))
+ray.shutdown()
+"""
+
+
+def _changes(tmp_path):
+    from aiw_i2b2_etl_ray.sources.synth import generate_changes
+
+    # the generator's defaults plant a hot key, deletes, duplicate
+    # change-ids and rejected rows
+    d = str(tmp_path / "log")
+    generate_changes(d, 20_000, n_repos=4, paths_per_repo=50, seed=11, rows_per_file=5000)
+    return d
+
+
+def _split(log: str, tmp_path):
+    """head (first 70% of commit_seq) and a tail re-sending 20% of it."""
+    from aiw_i2b2_etl_ray.sources.changes import read_changes_table
+
+    full = read_changes_table(log)
+    cut = int(pc.max(full["commit_seq"]).as_py() * 0.7)
+    parts = {
+        "head": full.filter(pc.less_equal(full["commit_seq"], cut)),
+        "tail": full.filter(pc.greater(full["commit_seq"], int(cut * 0.8))),
+    }
+    dirs = {}
+    for name, t in parts.items():
+        d = tmp_path / name
+        d.mkdir()
+        pq.write_table(t, str(d / "part-00000.parquet"))
+        dirs[name] = str(d)
+    return full, parts["head"], dirs
+
+
+def _run_one_cpu(*args: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = REPO_ROOT + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("RAY_ADDRESS", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_SCRIPT, *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        cwd=REPO_ROOT,
+        env=env,
+        start_new_session=True,  # own pgid: a timeout reaps its Ray daemons
+    )
+    try:
+        out, err = proc.communicate(timeout=ONE_CPU_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"num_cpus=1 replace + update did not finish in {ONE_CPU_TIMEOUT_S} s")
+    assert proc.returncode == 0, err[-2000:]
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def test_one_cpu_salted_replay_and_update_match_oracle(tmp_path):
+    from aiw_i2b2_etl_ray import oracle
+    from aiw_i2b2_etl_ray.stages.merge import load_path_dim
+    from aiw_i2b2_etl_ray.state import manifest as mf
+
+    full, head, dirs = _split(_changes(tmp_path), tmp_path)
+    out = str(tmp_path / "out")
+    lineage = _run_one_cpu(dirs["head"], dirs["tail"], out)
+
+    assert mf.read_job_manifest(out)["hot_keys"], "the log must exercise salting"
+    # conflicts_resolved is not compared: a salted key counts one conflict
+    # fewer per extra salt bucket it lands in (by design)
+    want_head = oracle.replay(head)
+    lineage["replace"].pop("conflicts_resolved")
+    assert lineage["replace"] == {
+        "rows_applied": len(want_head.change_fact),
+        "dups_dropped": want_head.counters["dups_dropped"],
+        "rows_rejected": len(want_head.rejected),
+    }
+    want = oracle.replay(full)
+    assert lineage["update"]["rows_applied"] == len(want.change_fact)
+    assert_table_eq(load_path_dim(out), want.path_dim, ["repo", "path"])
+
+
+def test_checkpoint_merge_runs_as_tasks(tmp_path, tiny_changes, monkeypatch):
+    """A checkpoint replay's merge stage plans as a task-pool operator, and
+    no operator of its plan is an actor pool."""
+    # private Ray Data API (the planner and ``Dataset._plan``), checked
+    # against ray 2.49.2: the physical operator class is the only place the
+    # task/actor choice shows before execution
+    from ray.data._internal.logical.optimizers import get_execution_plan
+
+    plans = []
+    orig = cdc_replay.merged_groups
+
+    def capture(*args, **kwargs):
+        ds = orig(*args, **kwargs)
+        todo = [get_execution_plan(ds._plan._logical_plan).dag]
+        while todo:
+            op = todo.pop()
+            plans.append((type(op).__name__, op.name))
+            todo.extend(op.input_dependencies)
+        return ds
+
+    monkeypatch.setattr(cdc_replay, "merged_groups", capture)
+    spec = ReplaySpec(
+        out_dir=str(tmp_path / "out"), num_partitions=8, salt_buckets=4, hot_key_threshold=50
+    )
+    summary = cdc_replay.replay(tiny_changes, spec)
+    assert summary["partitions"] > 0
+    assert ("TaskPoolMapOperator", "MapBatches(_merge_group)") in plans, plans
+    assert not [op for op in plans if op[0] == "ActorPoolMapOperator"], plans

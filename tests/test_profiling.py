@@ -94,6 +94,37 @@ def test_distinct_pairs_drops_nulls_and_dedups_in_block():
     assert {c for c, _ in int_pairs}.isdisjoint({c for c, _ in str_pairs})
 
 
+def test_distinct_pairs_with_no_column_of_the_kind(monkeypatch):
+    """A column list holding one kind only leaves the other pair function
+    with nothing to concatenate: it returns a typed empty table."""
+    from aiw_i2b2_etl_ray.pipelines import profiling
+
+    t = pa.table({"a": pa.array([1, 2], pa.int64()), "b": pa.array(["x", None])})
+    monkeypatch.setattr(profiling, "PROFILE_COLS", [("b", "str")])
+    pi = _distinct_pairs_int(t)
+    assert len(pi) == 0 and pi.schema == pa.schema([("col", pa.string()), ("v", pa.int64())])
+    monkeypatch.setattr(profiling, "PROFILE_COLS", [("a", "int")])
+    ps = _distinct_pairs_str(t)
+    assert len(ps) == 0 and ps.schema == pa.schema([("col", pa.string()), ("v", pa.string())])
+
+
+def test_stats_partial_pre_epoch_subsecond_floors():
+    """Pre-epoch sub-second timestamps floor to the second, as DuckDB's
+    strftime does (a truncating cast would round them up to 1970)."""
+    import datetime
+
+    t = _block(
+        {
+            "l_shipdate": pa.array(
+                [datetime.datetime(1969, 12, 31, 23, 59, 59, 500000)], pa.timestamp("us")
+            )
+        }
+    )
+    rows = {r["col"]: r for r in _stats_partial(t).to_pylist()}
+    assert rows["l_shipdate"]["min_s"] == "1969-12-31 23:59:59"
+    assert rows["l_shipdate"]["max_s"] == "1969-12-31 23:59:59"
+
+
 # --- fk_orphans ---------------------------------------------------------------
 
 
