@@ -40,6 +40,13 @@ class ModifierSpec:
             raise ValueError(f"invalid modifier name: {self.name!r}")
 
 
+#: ReplaySpec fields that no longer exist; spec JSON written before their
+#: removal still loads (``from_json`` drops them).  merge_concurrency sized
+#: the retired merge actor pool; shuffle chose push or pull for the keyed
+#: exchange (now always push); batch_size was never read.
+RETIRED_SPEC_KEYS = ("merge_concurrency", "shuffle", "batch_size")
+
+
 @dataclass(frozen=True)
 class ReplaySpec:
     """Everything a CDC replay run needs.
@@ -78,19 +85,11 @@ class ReplaySpec:
     #: pushed down to the parquet scan as row-group predicates.
     min_seq: int | None = None
     max_seq: int | None = None
-    batch_size: int = 65536
     #: bounded merge state (SURVEY §7.5 item 1): a partition whose shuffled
     #: group exceeds this many rows is merged in key-hash slices with
     #: streaming row-group writes, so the merge working set (sort + prior
     #: join + outputs) stays O(cap) instead of O(partition).  None = off.
     state_cap_rows: int | None = None
-    #: shuffle implementation for THE keyed exchange: "push" (Ray's
-    #: push-based sort shuffle — pipelines map-side merge into the reduce,
-    #: measured ~18% faster end-to-end on the 10M-event single-node bench
-    #: and designed for multi-node scatter) or "pull" (classic pull-based,
-    #: the conservative default path).  Applied only for the duration of
-    #: the replay execution; the session's DataContext is restored after.
-    shuffle: str = "push"  # push | pull
     #: run-level hooks — the stored-proc extension points the reference's
     #: handler invokes around a load (EK_PRE_HOOK / EK_POST_HOOK +
     #: index disable/enable, dest/I2b2QueryResultsHandler.java:97-161,
@@ -136,7 +135,8 @@ class ReplaySpec:
     @staticmethod
     def from_json(s: str) -> "ReplaySpec":
         d = json.loads(s)
-        d.pop("merge_concurrency", None)  # retired merge-pool size knob
+        for k in RETIRED_SPEC_KEYS:
+            d.pop(k, None)
         return ReplaySpec(**d)
 
 

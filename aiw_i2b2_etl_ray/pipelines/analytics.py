@@ -18,6 +18,7 @@ from ..functions import eav, strings
 
 
 from ..functions.numeric import round_half_away_pc
+from ..util import worker_runtime_env
 
 
 def _round(col, nd=4):
@@ -109,22 +110,18 @@ def join_orders_nations(sf_dir: str) -> rd.Dataset:
     )
     side_ref = ray.put(side)
 
-    class JoinBatch:
-        def __init__(self):
-            self.side = ray.get(side_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            df = pl.from_arrow(t)
-            j = df.join(self.side, left_on="o_custkey", right_on="c_custkey", how="inner")
-            return (
-                j.group_by("n_name")
-                .agg(pl.col("o_totalprice").sum().alias("psum"), pl.len().cast(pl.Int64).alias("pn"))
-                .to_arrow()
-            )
+    def join_batch(t: pa.Table) -> pa.Table:
+        df = pl.from_arrow(t)
+        j = df.join(ray.get(side_ref), left_on="o_custkey", right_on="c_custkey", how="inner")
+        return (
+            j.group_by("n_name")
+            .agg(pl.col("o_totalprice").sum().alias("psum"), pl.len().cast(pl.Int64).alias("pn"))
+            .to_arrow()
+        )
 
     ds = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"])
     agg = (
-        ds.map_batches(JoinBatch, batch_format="pyarrow", concurrency=(1, 8))
+        ds.map_batches(join_batch, batch_format="pyarrow", **worker_runtime_env())
         .groupby("n_name")
         .aggregate(Sum("psum", alias_name="total_price"), Sum("pn", alias_name="n_orders"))
     )
@@ -155,17 +152,13 @@ def customers_without_orders(sf_dir: str) -> rd.Dataset:
     keyset = pa.array(sorted(custkeys), pa.int64())
     keys_ref = ray.put(keyset)
 
-    class AntiJoin:
-        def __init__(self):
-            self.keys = ray.get(keys_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            mask = pc.invert(pc.is_in(t["c_custkey"], value_set=self.keys))
-            return t.filter(mask).select(["c_custkey", "c_name"])
+    def anti_join(t: pa.Table) -> pa.Table:
+        mask = pc.invert(pc.is_in(t["c_custkey"], value_set=ray.get(keys_ref)))
+        return t.filter(mask).select(["c_custkey", "c_name"])
 
     return rd.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
-    ).map_batches(AntiJoin, batch_format="pyarrow", concurrency=(1, 4))
+    ).map_batches(anti_join, batch_format="pyarrow", **worker_runtime_env())
 
 
 # --- J4 both-sides-large: bucketed hash join --------------------------------

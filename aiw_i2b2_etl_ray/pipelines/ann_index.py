@@ -42,14 +42,14 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..functions.numeric import round_half_away
 from ..util import worker_runtime_env
 from .similarity import (
     IVF_LISTS,
     IVF_NPROBE,
     N_QUERIES,
-    TOP_K,
+    _fold_topk,
     _load_queries,
+    _probe_search,
     _train_centroids,
 )
 
@@ -104,47 +104,35 @@ def ann_index_update(
         )
     cents_ref = ray.put(cents)
 
-    class Assign:
-        """Stateless-per-batch full assignment (no probe pruning — the
-        index serves arbitrary future queries, so every vector lands in
-        its list)."""
-
-        def __init__(self):
-            self.cents = ray.get(cents_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            if len(t) == 0:  # predicate-pushed reads can emit empty blocks
-                return pa.table(
-                    {
-                        "list_id": pa.array([], pa.int32()),
-                        "vec_id": pa.array([], pa.int64()),
-                        "embedding": pa.array([], pa.list_(pa.float64())),
-                    }
-                )
-            ids = t["vec_id"].to_numpy()
-            m = np.stack(t["embedding"].to_pandas().to_numpy()).astype(np.float64)
-            norm = m / (np.linalg.norm(m, axis=1, keepdims=True) + 1e-300)
-            lists = (norm @ self.cents.T).argmax(axis=1)
-            keep = ids >= N_QUERIES
+    def assign(t: pa.Table) -> pa.Table:
+        """Full assignment (no probe pruning — the index serves arbitrary
+        future queries, so every vector lands in its list)."""
+        if len(t) == 0:  # predicate-pushed reads can emit empty blocks
             return pa.table(
                 {
-                    "list_id": pa.array(lists[keep].astype(np.int32)),
-                    "vec_id": pa.array(ids[keep]),
-                    "embedding": pa.array(list(norm[keep])),
+                    "list_id": pa.array([], pa.int32()),
+                    "vec_id": pa.array([], pa.int64()),
+                    "embedding": pa.array([], pa.list_(pa.float64())),
                 }
             )
+        ids = t["vec_id"].to_numpy()
+        m = np.stack(t["embedding"].to_pandas().to_numpy()).astype(np.float64)
+        norm = m / (np.linalg.norm(m, axis=1, keepdims=True) + 1e-300)
+        lists = (norm @ ray.get(cents_ref).T).argmax(axis=1)
+        keep = ids >= N_QUERIES
+        return pa.table(
+            {
+                "list_id": pa.array(lists[keep].astype(np.int32)),
+                "vec_id": pa.array(ids[keep]),
+                "embedding": pa.array(list(norm[keep])),
+            }
+        )
 
     kwargs = {"columns": ["vec_id", "embedding"]}
     if row_filter is not None:
         kwargs["filter"] = row_filter
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet", **kwargs)
-    assigned = ds.map_batches(
-        Assign,
-        batch_format="pyarrow",
-        concurrency=(1, 8),
-        num_cpus=1,
-        **worker_runtime_env(),
-    )
+    assigned = ds.map_batches(assign, batch_format="pyarrow", **worker_runtime_env())
     # ATOMIC run commit (cf. dedup_index.index_update): tmp dir + rename,
     # so a crashed update can't leave a partial run and a same-run_id
     # retry can't merge fresh files with stale ones (duplicated vectors
@@ -216,83 +204,20 @@ def ann_index_query(sf_dir: str, out_dir: str) -> pd.DataFrame:
     probe_ref = ray.put((qids, qmat, probe))
     probed_lists = sorted(probe)
 
-    class ListSearch:
-        def __init__(self):
-            self.qids, self.qmat, self.probe = ray.get(probe_ref)
-
-        def __call__(self, g: pa.Table) -> pa.Table:
-            lid = int(g["list_id"][0].as_py())
-            qidx = self.probe.get(lid, [])
-            if not qidx:
-                return pa.table(
-                    {
-                        "query_id": pa.array([], pa.int64()),
-                        "vec_id": pa.array([], pa.int64()),
-                        "cosine": pa.array([], pa.float64()),
-                    }
-                )
-            ids = g["vec_id"].to_numpy()
-            norm = np.stack(g["embedding"].to_pandas().to_numpy())
-            # a crashed compaction (rename-in-before-delete window) can
-            # leave the same vec_id in two runs of this list; dedup BEFORE
-            # the per-list top-k so duplicates can't occupy multiple of
-            # the k slots and evict a distinct true neighbor
-            uniq, first = np.unique(ids, return_index=True)
-            if len(uniq) < len(ids):
-                ids, norm = ids[first], norm[first]
-            cos = norm @ self.qmat[qidx].T
-            k = min(TOP_K, len(ids))
-            part = np.argpartition(-cos, k - 1, axis=0)[:k]
-            out_q, out_v, out_c = [], [], []
-            for ci, qi in enumerate(qidx):
-                sel = part[:, ci]
-                out_q.extend([self.qids[qi]] * len(sel))
-                out_v.extend(ids[sel])
-                out_c.extend(cos[sel, ci])
-            return pa.table(
-                {
-                    "query_id": pa.array(np.asarray(out_q, np.int64)),
-                    "vec_id": pa.array(np.asarray(out_v, np.int64)),
-                    "cosine": pa.array(np.asarray(out_c, np.float64)),
-                }
-            )
+    def list_search(g: pa.Table) -> pa.Table:
+        return _probe_search(g, "list_id", *ray.get(probe_ref))
 
     files = [
         f
         for d in _run_dirs(out_dir)
         for f in sorted(glob.glob(os.path.join(d, "*.parquet")))
     ]
-    lists_ds = rd.read_parquet(
-        files, filter=pads.field("list_id").isin(probed_lists)
-    ).materialize()  # actor pool feeds a sort: pool-before-sort discipline
-    partials = (
+    lists_ds = rd.read_parquet(files, filter=pads.field("list_id").isin(probed_lists))
+    return _fold_topk(
         lists_ds.groupby("list_id")
-        .map_groups(
-            ListSearch,
-            batch_format="pyarrow",
-            concurrency=(1, 8),
-            num_cpus=1,
-            **worker_runtime_env(),
-        )
+        .map_groups(list_search, batch_format="pyarrow", **worker_runtime_env())
         .to_pandas()
     )
-    if len(partials) == 0:
-        return pd.DataFrame(columns=["query_id", "rank", "vec_id", "cosine"])
-    out = (
-        partials.sort_values(
-            ["query_id", "cosine", "vec_id"], ascending=[True, False, True]
-        )
-        # duplicate vec_ids can transiently exist after a crashed
-        # compaction (rename-in-before-delete window); dedup so they can
-        # never crowd a true neighbor out of the top-k
-        .drop_duplicates(["query_id", "vec_id"])
-        .groupby("query_id", sort=True)
-        .head(TOP_K)
-        .reset_index(drop=True)
-    )
-    out["rank"] = out.groupby("query_id").cumcount() + 1
-    out["cosine"] = round_half_away(out["cosine"], 4)
-    return out[["query_id", "rank", "vec_id", "cosine"]]
 
 
 def ann_incremental(sf_dir: str) -> pd.DataFrame:

@@ -12,6 +12,7 @@ import ray.data as rd
 from ..config import ModifierSpec
 from ..sources.changes import CHANGES_FROM_EVENTS_SQL, changes_from_events
 from ..stages import dims as dims_mod
+from ..util import worker_runtime_env
 from .cdc_replay import replay_table
 
 _NP = 16  # partitions at correctness scale
@@ -838,41 +839,37 @@ def seq_audit_table(facts: rd.Dataset) -> rd.Dataset:
     }
     means_ref = ray.put(means)
 
-    class Flag:
-        def __init__(self):
-            self.means = ray.get(means_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            if len(t) == 0:
-                return pa.table(
-                    {
-                        "repo": pa.array([], pa.string()),
-                        "commit_seq": pa.array([], pa.int64()),
-                        "gap": pa.array([], pa.int64()),
-                        "gap_ratio": pa.array([], pa.float64()),
-                    }
-                )
-            import pandas as pd
-
-            avg = (
-                pd.Series(t["repo"].to_numpy(zero_copy_only=False))
-                .map(self.means)  # vectorized dict probe, no row loop
-                .to_numpy(dtype=np.float64)
-            )
-            gap = t["gap"].to_numpy().astype(np.float64)
-            keep = gap > GAP_FACTOR * avg
-            t = t.filter(pa.array(keep))
-            ratio = round_half_away(gap[keep] / avg[keep], 4)
+    def flag(t: pa.Table) -> pa.Table:
+        if len(t) == 0:
             return pa.table(
                 {
-                    "repo": t["repo"],
-                    "commit_seq": t["commit_seq"],
-                    "gap": t["gap"],
-                    "gap_ratio": pa.array(ratio),
+                    "repo": pa.array([], pa.string()),
+                    "commit_seq": pa.array([], pa.int64()),
+                    "gap": pa.array([], pa.int64()),
+                    "gap_ratio": pa.array([], pa.float64()),
                 }
             )
+        import pandas as pd
 
-    return all_gaps.map_batches(Flag, concurrency=(1, 4), batch_format="pyarrow")
+        avg = (
+            pd.Series(t["repo"].to_numpy(zero_copy_only=False))
+            .map(ray.get(means_ref))  # vectorized dict probe, no row loop
+            .to_numpy(dtype=np.float64)
+        )
+        gap = t["gap"].to_numpy().astype(np.float64)
+        keep = gap > GAP_FACTOR * avg
+        t = t.filter(pa.array(keep))
+        ratio = round_half_away(gap[keep] / avg[keep], 4)
+        return pa.table(
+            {
+                "repo": t["repo"],
+                "commit_seq": t["commit_seq"],
+                "gap": t["gap"],
+                "gap_ratio": pa.array(ratio),
+            }
+        )
+
+    return all_gaps.map_batches(flag, batch_format="pyarrow", **worker_runtime_env())
 
 
 SQL_SEQ_AUDIT = f"""

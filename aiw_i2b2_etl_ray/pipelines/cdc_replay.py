@@ -128,11 +128,9 @@ def _merge_group(group: pa.Table, merger_kwargs: dict) -> pa.Table:
     return PartitionMerger(**merger_kwargs)(group)
 
 
-def merged_groups(norm: rd.Dataset, merger_kwargs: dict, spec: ReplaySpec) -> rd.Dataset:
+def merged_groups(norm: rd.Dataset, merger_kwargs: dict) -> rd.Dataset:
     # stateless tasks, like normalize: the merger's only state is the
     # broadcast watermark map, fetched from the local object store.
-    # ``spec`` is unused; kept for the call signature perfbench and
-    # test_merge_policy use.
     return norm.groupby("pkey").map_groups(
         _merge_group,
         fn_kwargs={"merger_kwargs": merger_kwargs},
@@ -150,16 +148,14 @@ def replay(
     modifier_specs: tuple = (),
     _debug_skip_partitions=None,
 ) -> dict:
-    """Entry point: runs :func:`_replay_impl` under the spec's shuffle
-    strategy (push-based sort shuffle by default — measured ~18% faster on
-    the keyed exchange single-node, and the multi-node-friendly scatter),
-    restoring the session DataContext afterwards."""
+    """Entry point: runs :func:`_replay_impl` under the push-based sort
+    shuffle (the multi-node-friendly scatter), restoring the session
+    DataContext afterwards."""
     from ray.data.context import DataContext, ShuffleStrategy
 
     ctx = DataContext.get_current()
     prev = ctx.shuffle_strategy
-    if spec.shuffle == "push":
-        ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
+    ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
     # NOTE: ShuffleStrategy.HASH_SHUFFLE was evaluated for this exchange
     # (the merge needs co-location, not order, so a sort looks like wasted
     # work) and REJECTED: with every stage on tasks, a 40k-event replay
@@ -385,7 +381,7 @@ def _replay_impl(
         modifier_names=tuple(s.name for s in modifier_specs),
         state_cap_rows=spec.state_cap_rows,
     )
-    hot_rows_ds = merged_groups(norm, merger_kwargs, spec)
+    hot_rows_ds = merged_groups(norm, merger_kwargs)
 
     # hot winners: tiny (|hot keys| x salt_buckets rows) -> driver reduce
     # materialize() executes the merge exactly once; the result (hot-key
@@ -482,7 +478,5 @@ def replay_table(
     spec = ReplaySpec(num_partitions=num_partitions, salt_buckets=1, hot_key_threshold=0)
     norm = normalized(changes, spec, None, modifier_specs)
     return merged_groups(
-        norm,
-        {"emit": emit, "modifier_names": tuple(s.name for s in modifier_specs)},
-        spec,
+        norm, {"emit": emit, "modifier_names": tuple(s.name for s in modifier_specs)}
     )

@@ -75,38 +75,32 @@ def _assign(m: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def cluster_assign(sf_dir: str) -> rd.Dataset:
     """Nearest-seed-centroid assignment for every vector: the map-only
     step of spherical k-means and the partitioning step of SemDeDup.
-    Broadcast centroids (ray.put once, fetched per actor), one vectorized
+    Broadcast centroids (ray.put once, fetched per task), one vectorized
     matmul per batch, zero shuffle — output is (vec_id, cluster_id,
     cosine) for the full table."""
     c_ref = ray.put(_load_seed_centroids(sf_dir))
 
-    class Assign:
-        def __init__(self):
-            self.cents = ray.get(c_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            if len(t) == 0:
-                return pa.table(
-                    {
-                        "vec_id": pa.array([], pa.int64()),
-                        "cluster_id": pa.array([], pa.int64()),
-                        "cosine": pa.array([], pa.float64()),
-                    }
-                )
-            ids, m = _batch_matrix(t)
-            cid, cos = _assign(m, self.cents)
+    def assign(t: pa.Table) -> pa.Table:
+        if len(t) == 0:
             return pa.table(
                 {
-                    "vec_id": pa.array(ids, pa.int64()),
-                    "cluster_id": pa.array(cid.astype(np.int64)),
-                    "cosine": pa.array(round_half_away(cos, 4)),
+                    "vec_id": pa.array([], pa.int64()),
+                    "cluster_id": pa.array([], pa.int64()),
+                    "cosine": pa.array([], pa.float64()),
                 }
             )
+        ids, m = _batch_matrix(t)
+        cid, cos = _assign(m, ray.get(c_ref))
+        return pa.table(
+            {
+                "vec_id": pa.array(ids, pa.int64()),
+                "cluster_id": pa.array(cid.astype(np.int64)),
+                "cosine": pa.array(round_half_away(cos, 4)),
+            }
+        )
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    return ds.map_batches(
-        Assign, batch_format="pyarrow", concurrency=(1, 8), **worker_runtime_env()
-    )
+    return ds.map_batches(assign, batch_format="pyarrow", **worker_runtime_env())
 
 
 SQL_CLUSTER_ASSIGN = f"""

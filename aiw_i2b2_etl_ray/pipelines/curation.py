@@ -109,17 +109,10 @@ def corpus_filter(sf_dir: str, spec: CurationSpec = CurationSpec()) -> rd.Datase
         )
         drop_ref = ray.put(arr)
 
-        class Drop:
-            def __init__(self):
-                self.drop = ray.get(drop_ref)
+        def drop(t: pa.Table) -> pa.Table:
+            return t.filter(pa.array(~np.isin(t["doc_id"].to_numpy(), ray.get(drop_ref))))
 
-            def __call__(self, t: pa.Table) -> pa.Table:
-                keep = ~np.isin(t["doc_id"].to_numpy(), self.drop)
-                return t.filter(pa.array(keep))
-
-        return gated.map_batches(
-            Drop, batch_format="pyarrow", concurrency=(1, 4), **worker_runtime_env()
-        )
+        return gated.map_batches(drop, batch_format="pyarrow", **worker_runtime_env())
     return bucketed_join(gated, drop_ids, on=["doc_id"], how="anti", num_buckets=8)
 
 
@@ -208,44 +201,39 @@ def decontaminate(sf_dir: str) -> rd.Dataset:
     bench = np.unique(np.concatenate(parts)) if parts else np.empty(0, np.uint64)
     bench_ref = ray.put(bench)  # sorted by construction (np.unique)
 
-    class Score:
-        def __init__(self):
-            self.bench = ray.get(bench_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ids = t["doc_id"].to_numpy()
-            t = t.filter(pa.array(ids % BENCH_MOD != 0))
-            if len(t) == 0 or self.bench.size == 0:
-                return pa.table(
-                    {"doc_id": pa.array([], pa.int64()), "n_hits": pa.array([], pa.int64())}
-                )
-            # fully vectorized per batch: membership probe over the flat
-            # shingle stream, then per-doc DISTINCT hit counts via one
-            # lexsort + boundary bincount (no per-doc unique loop — the
-            # same segment trick as textops.text_repetition)
-            hashes, offsets = _batch_shingle_hashes(t["text"].combine_chunks(), 3)
-            ids = t["doc_id"].to_numpy()
-            di = np.repeat(np.arange(len(t)), np.diff(offsets))
-            pos = np.searchsorted(self.bench, hashes)
-            pos[pos == self.bench.size] = 0
-            hit = self.bench[pos] == hashes
-            dh, hh = di[hit], hashes[hit]
-            order = np.lexsort((hh, dh))
-            d_s, h_s = dh[order], hh[order]
-            new = np.ones(len(d_s), dtype=bool)
-            new[1:] = (d_s[1:] != d_s[:-1]) | (h_s[1:] != h_s[:-1])
-            n_hits = np.bincount(d_s[new], minlength=len(t))
-            keep = n_hits >= DECON_MIN_HITS
+    def score(t: pa.Table) -> pa.Table:
+        bench = ray.get(bench_ref)
+        ids = t["doc_id"].to_numpy()
+        t = t.filter(pa.array(ids % BENCH_MOD != 0))
+        if len(t) == 0 or bench.size == 0:
             return pa.table(
-                {
-                    "doc_id": pa.array(ids[keep], pa.int64()),
-                    "n_hits": pa.array(n_hits[keep].astype(np.int64)),
-                }
+                {"doc_id": pa.array([], pa.int64()), "n_hits": pa.array([], pa.int64())}
             )
+        # fully vectorized per batch: membership probe over the flat
+        # shingle stream, then per-doc DISTINCT hit counts via one
+        # lexsort + boundary bincount (no per-doc unique loop — the
+        # same segment trick as textops.text_repetition)
+        hashes, offsets = _batch_shingle_hashes(t["text"].combine_chunks(), 3)
+        ids = t["doc_id"].to_numpy()
+        di = np.repeat(np.arange(len(t)), np.diff(offsets))
+        pos = np.searchsorted(bench, hashes)
+        pos[pos == bench.size] = 0
+        hit = bench[pos] == hashes
+        dh, hh = di[hit], hashes[hit]
+        order = np.lexsort((hh, dh))
+        d_s, h_s = dh[order], hh[order]
+        new = np.ones(len(d_s), dtype=bool)
+        new[1:] = (d_s[1:] != d_s[:-1]) | (h_s[1:] != h_s[:-1])
+        n_hits = np.bincount(d_s[new], minlength=len(t))
+        keep = n_hits >= DECON_MIN_HITS
+        return pa.table(
+            {
+                "doc_id": pa.array(ids[keep], pa.int64()),
+                "n_hits": pa.array(n_hits[keep].astype(np.int64)),
+            }
+        )
 
-    return docs.map_batches(
-        Score, batch_format="pyarrow", concurrency=(1, 8), **worker_runtime_env()
-    )
+    return docs.map_batches(score, batch_format="pyarrow", **worker_runtime_env())
 
 
 def _decontaminate_distributed(docs: rd.Dataset, bench_partials: rd.Dataset) -> rd.Dataset:
@@ -347,10 +335,7 @@ def corpus_build(
     from ..stages.join import bucketed_join
 
     cap = capacity if capacity is not None else spec.pack_capacity
-    # materialize the (small, post-gate) survivor set so the Gate actor
-    # pool finishes and releases its CPUs before the join's sort runs
-    # (pool-before-sort scheduling, see BASELINE.md round-2 close-out)
-    kept = corpus_filter(sf_dir, spec).materialize()
+    kept = corpus_filter(sf_dir, spec)
 
     # fetch n_chars for surviving docs: broadcast the (tiny) kept-id set
     # is wrong at 100 TB — instead co-shuffle docs + kept ids once

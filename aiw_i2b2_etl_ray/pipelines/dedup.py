@@ -337,7 +337,6 @@ def verify_candidate_pairs(cands: rd.Dataset, docs: rd.Dataset) -> rd.Dataset:
             mask = np.isin(t["doc_id"].to_numpy(), ray.get(need_ref))
             return t.filter(pa.array(mask))
 
-        # stateless task stage (no actor pool ahead of the join sorts);
         # materialized so the pruned-texts pass runs once, not per join
         docs_small = docs.map_batches(pick_texts, batch_format="pyarrow").materialize()
         if docs_small.size_bytes() <= TEXT_BROADCAST_LIMIT:
@@ -346,7 +345,7 @@ def verify_candidate_pairs(cands: rd.Dataset, docs: rd.Dataset) -> rd.Dataset:
             # payload instead of TWO bucketed joins (each join is an
             # all-to-all Sort — measured 2x8.6 s of a 26 s sf0.1 run for
             # a few hundred candidate texts).  ids are a numpy array and
-            # texts an Arrow array, so actors share the plasma copy.
+            # texts an Arrow array, so tasks share the plasma copy.
             tbl = pa.concat_tables(
                 [t for t in ray.get(docs_small.to_arrow_refs()) if len(t)]
             ).combine_chunks()
@@ -357,53 +356,43 @@ def verify_candidate_pairs(cands: rd.Dataset, docs: rd.Dataset) -> rd.Dataset:
             )
             pairs_ds = rd.from_arrow(pa.Table.from_pandas(pairs, preserve_index=False))
 
-            class AttachVerify:
-                def __init__(self):
-                    self.ids, self.texts = ray.get(texts_ref)
-
-                def __call__(self, t: pa.Table) -> pa.Table:
-                    if self.ids.size == 0:  # no candidate text resolved
-                        return _verify_pairs_fn(
-                            pa.table(
-                                {
-                                    "doc_a": pa.array([], pa.int64()),
-                                    "doc_b": pa.array([], pa.int64()),
-                                    "text_a": pa.array([], pa.string()),
-                                    "text_b": pa.array([], pa.string()),
-                                }
-                            )
+            def attach_verify(t: pa.Table) -> pa.Table:
+                ids, texts = ray.get(texts_ref)
+                if ids.size == 0:  # no candidate text resolved
+                    return _verify_pairs_fn(
+                        pa.table(
+                            {
+                                "doc_a": pa.array([], pa.int64()),
+                                "doc_b": pa.array([], pa.int64()),
+                                "text_a": pa.array([], pa.string()),
+                                "text_b": pa.array([], pa.string()),
+                            }
                         )
-                    da = t["doc_a"].to_numpy()
-                    db = t["doc_b"].to_numpy()
-                    ia = np.minimum(
-                        np.searchsorted(self.ids, da), self.ids.size - 1
                     )
-                    ib = np.minimum(
-                        np.searchsorted(self.ids, db), self.ids.size - 1
-                    )
-                    # an id absent from the pruned texts (cannot happen for
-                    # LSH candidates, which derive from docs — defensive)
-                    # must DROP the pair, matching the bucketed-join plan's
-                    # inner semantics, not attach a neighbor's text
-                    found = (self.ids[ia] == da) & (self.ids[ib] == db)
-                    if not found.all():
-                        t = t.filter(pa.array(found))
-                        ia, ib = ia[found], ib[found]
-                    t2 = pa.table(
-                        {
-                            "doc_a": t["doc_a"],
-                            "doc_b": t["doc_b"],
-                            "text_a": self.texts.take(pa.array(ia)),
-                            "text_b": self.texts.take(pa.array(ib)),
-                        }
-                    )
-                    return _verify_pairs_fn(t2)
+                da = t["doc_a"].to_numpy()
+                db = t["doc_b"].to_numpy()
+                ia = np.minimum(np.searchsorted(ids, da), ids.size - 1)
+                ib = np.minimum(np.searchsorted(ids, db), ids.size - 1)
+                # an id absent from the pruned texts (cannot happen for
+                # LSH candidates, which derive from docs — defensive)
+                # must DROP the pair, matching the bucketed-join plan's
+                # inner semantics, not attach a neighbor's text
+                found = (ids[ia] == da) & (ids[ib] == db)
+                if not found.all():
+                    t = t.filter(pa.array(found))
+                    ia, ib = ia[found], ib[found]
+                t2 = pa.table(
+                    {
+                        "doc_a": t["doc_a"],
+                        "doc_b": t["doc_b"],
+                        "text_a": texts.take(pa.array(ia)),
+                        "text_b": texts.take(pa.array(ib)),
+                    }
+                )
+                return _verify_pairs_fn(t2)
 
             return pairs_ds.map_batches(
-                AttachVerify,
-                batch_format="pyarrow",
-                concurrency=(1, 8),
-                **worker_runtime_env(),
+                attach_verify, batch_format="pyarrow", **worker_runtime_env()
             )
         pairs_ds = rd.from_arrow(pa.Table.from_pandas(pairs, preserve_index=False))
     else:
@@ -689,24 +678,20 @@ def dedup_embedding_ivf(sf_dir: str) -> rd.Dataset:
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
 
-    class Assign:
-        def __init__(self):
-            self.cents = _ray.get(cents_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ids = t["vec_id"].to_numpy()
-            m = np.stack(t["embedding"].to_pandas().to_numpy()).astype(np.float64)
-            m /= np.linalg.norm(m, axis=1, keepdims=True) + 1e-12
-            sim = m @ self.cents.T
-            top = np.argsort(-sim, axis=1)[:, :IVF_DEDUP_ASSIGN]
-            n, a = top.shape
-            return pa.table(
-                {
-                    "list_id": pa.array(top.ravel().astype(np.int32)),
-                    "vec_id": pa.array(np.repeat(ids, a)),
-                    "embedding": pa.array(list(np.repeat(m, a, axis=0))),
-                }
-            )
+    def assign(t: pa.Table) -> pa.Table:
+        ids = t["vec_id"].to_numpy()
+        m = np.stack(t["embedding"].to_pandas().to_numpy()).astype(np.float64)
+        m /= np.linalg.norm(m, axis=1, keepdims=True) + 1e-12
+        sim = m @ _ray.get(cents_ref).T
+        top = np.argsort(-sim, axis=1)[:, :IVF_DEDUP_ASSIGN]
+        n, a = top.shape
+        return pa.table(
+            {
+                "list_id": pa.array(top.ravel().astype(np.int32)),
+                "vec_id": pa.array(np.repeat(ids, a)),
+                "embedding": pa.array(list(np.repeat(m, a, axis=0))),
+            }
+        )
 
     def list_pairs(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) < 2:
@@ -730,10 +715,7 @@ def dedup_embedding_ivf(sf_dir: str) -> rd.Dataset:
     from ray.data.aggregate import Max
 
     return (
-        # materialized before the groupby sort (pool-vs-sort scheduling,
-        # see curation.corpus_filter); the multi-assigned set is bounded
-        ds.map_batches(Assign, batch_format="pyarrow", concurrency=(1, 4), num_cpus=1)
-        .materialize()
+        ds.map_batches(assign, batch_format="pyarrow", **worker_runtime_env())
         .groupby("list_id")
         .map_groups(list_pairs, batch_format="pandas")
         .groupby(["vec_a", "vec_b"])

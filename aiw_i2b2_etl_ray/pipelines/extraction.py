@@ -127,22 +127,18 @@ def date_resolution(sf_dir: str) -> rd.Dataset:
     )
     bounds_ref = ray.put(bounds)
 
-    class Resolve:
-        def __init__(self):
-            self.bounds = ray.get(bounds_ref)
+    def resolve(t: pa.Table) -> pa.Table:
+        df = pl.from_arrow(t).join(ray.get(bounds_ref), on="user_id", how="left")
+        missing = pl.col("event_id") % 7 == 0
+        out = df.select(
+            pl.col("event_id"),
+            pl.when(missing).then(pl.col("mn")).otherwise(pl.col("ts")).alias("start_date"),
+            pl.when(missing).then(pl.col("mx")).otherwise(pl.col("ts")).alias("finish_date"),
+            pl.when(missing).then(pl.lit("encounter")).otherwise(pl.lit("event")).alias("date_src"),
+        )
+        return out.to_arrow()
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            df = pl.from_arrow(t).join(self.bounds, on="user_id", how="left")
-            missing = pl.col("event_id") % 7 == 0
-            out = df.select(
-                pl.col("event_id"),
-                pl.when(missing).then(pl.col("mn")).otherwise(pl.col("ts")).alias("start_date"),
-                pl.when(missing).then(pl.col("mx")).otherwise(pl.col("ts")).alias("finish_date"),
-                pl.when(missing).then(pl.lit("encounter")).otherwise(pl.lit("event")).alias("date_src"),
-            )
-            return out.to_arrow()
-
-    return ds.map_batches(Resolve, batch_format="pyarrow", concurrency=(1, 8))
+    return ds.map_batches(resolve, batch_format="pyarrow", **worker_runtime_env())
 
 
 SQL_DATE_RESOLUTION = """

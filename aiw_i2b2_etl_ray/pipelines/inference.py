@@ -1,7 +1,8 @@
-"""Batched model inference as an actor-pool stage — the canonical
-"load the model once per actor, score per batch" pattern this engine uses
-for every stateful stage (ray_guide.md §actor pools), demonstrated with a
-driver-checkable model.
+"""Batched model inference as an actor-pool stage — "load the model once
+per actor, score per batch", demonstrated with a driver-checkable model.
+Every other map stage in this engine runs as a stateless task that
+``ray.get``s its broadcast side; actor pools are kept only where
+construction is a model load (here) or a decoder load (``multimodal``).
 
 The "model" is a fixed-coefficient logistic scorer over cheap document
 features (length, token count, alpha ratio).  That keeps the full

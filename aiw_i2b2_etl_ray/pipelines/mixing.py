@@ -496,41 +496,38 @@ def _mix_survivors(
     while True:
         thr_ref = ray.put((thr, quotas))
 
-        class Keep:
-            def __init__(self):
-                self.thr, self.quotas = ray.get(thr_ref)
-
-            def __call__(self, t: pa.Table) -> pa.Table:
-                ids = t["doc_id"].to_numpy()
-                # ONE compression pass: the u52 draw and the hex rank come
-                # from the same digest matrix (u52 is a prefix of the hex
-                # order), and the hex expansion runs only on survivors
-                dig = md5_digests_of_ints(ids)
-                df = (
-                    pl.from_arrow(t)
-                    .with_columns(
-                        pl.Series("u", md5_uniform52_from_digests(dig)),
-                        pl.col("source")
-                        .replace_strict(self.thr, default=1.0, return_dtype=pl.Float64)
-                        .alias("thr"),
-                        pl.col("source")
-                        .replace_strict(self.quotas, default=0, return_dtype=pl.Int64)
-                        .alias("quota"),
-                    )
-                    .with_row_index("_ri")
-                    .filter(pl.col("u") <= pl.col("thr"))
+        def keep_draw(t: pa.Table) -> pa.Table:
+            thr, quotas = ray.get(thr_ref)
+            ids = t["doc_id"].to_numpy()
+            # ONE compression pass: the u52 draw and the hex rank come
+            # from the same digest matrix (u52 is a prefix of the hex
+            # order), and the hex expansion runs only on survivors
+            dig = md5_digests_of_ints(ids)
+            df = (
+                pl.from_arrow(t)
+                .with_columns(
+                    pl.Series("u", md5_uniform52_from_digests(dig)),
+                    pl.col("source")
+                    .replace_strict(thr, default=1.0, return_dtype=pl.Float64)
+                    .alias("thr"),
+                    pl.col("source")
+                    .replace_strict(quotas, default=0, return_dtype=pl.Int64)
+                    .alias("quota"),
                 )
-                keep = df["_ri"].to_numpy()
-                return (
-                    df.with_columns(
-                        pl.Series("rk", md5_hex_from_digests(dig[keep]))
-                    )
-                    .select("doc_id", "source", "rk", "quota")
-                    .to_arrow()
+                .with_row_index("_ri")
+                .filter(pl.col("u") <= pl.col("thr"))
+            )
+            keep = df["_ri"].to_numpy()
+            return (
+                df.with_columns(
+                    pl.Series("rk", md5_hex_from_digests(dig[keep]))
                 )
+                .select("doc_id", "source", "rk", "quota")
+                .to_arrow()
+            )
 
         survivors = ds.map_batches(
-            Keep, batch_format="pyarrow", concurrency=(1, 8), **worker_runtime_env()
+            keep_draw, batch_format="pyarrow", **worker_runtime_env()
         ).materialize()
         # survivor CENSUS only (source-count-sized), never the rows
         got: dict[str, int] = {s: 0 for s in quotas}

@@ -20,6 +20,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from ..functions import dates, eav, strings
+from ..util import worker_runtime_env
 
 #: fixed logical clock for age computation (the reference leaks wall-clock
 #: here; we inject, as its own tests effectively do by ignoring the column)
@@ -198,25 +199,18 @@ def hierarchy_path(sf_dir: str) -> rd.Dataset:
     reg = pl.read_parquet(f"{sf_dir}/region.parquet")
     ref = ray.put(reg)
 
-    class Enc:
-        def __init__(self):
-            import ray as _r
-
-            self.reg = _r.get(ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            df = pl.from_arrow(t)
-            j = df.join(self.reg, left_on="n_regionkey", right_on="r_regionkey")
-            out = j.to_arrow()
-            return pa.table(
-                {
-                    "n_nationkey": out["n_nationkey"],
-                    "c_fullname": strings.hierarchy_path(out["r_name"], out["n_name"]),
-                }
-            )
+    def enc(t: pa.Table) -> pa.Table:
+        df = pl.from_arrow(t)
+        out = df.join(ray.get(ref), left_on="n_regionkey", right_on="r_regionkey").to_arrow()
+        return pa.table(
+            {
+                "n_nationkey": out["n_nationkey"],
+                "c_fullname": strings.hierarchy_path(out["r_name"], out["n_name"]),
+            }
+        )
 
     ds = rd.read_parquet(f"{sf_dir}/nation.parquet")
-    return ds.map_batches(Enc, batch_format="pyarrow", concurrency=1)
+    return ds.map_batches(enc, batch_format="pyarrow", **worker_runtime_env())
 
 
 SQL_HIERARCHY_PATH = r"""

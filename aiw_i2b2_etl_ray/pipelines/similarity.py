@@ -12,6 +12,7 @@ import ray
 import ray.data as rd
 
 from ..functions.numeric import round_half_away
+from ..util import worker_runtime_env
 
 N_QUERIES = 8  # deterministic query set: the first N vec_ids
 TOP_K = 5
@@ -35,54 +36,58 @@ def _load_queries(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
     return df["vec_id"].to_numpy(), q
 
 
-def ann_topk(sf_dir: str) -> pd.DataFrame:
-    """Brute-force cosine top-k: the query matrix is broadcast once
-    (ray.put), each batch computes a (batch x queries) matmul and emits its
-    local top-k; the driver folds the tiny partials into the global top-k.
-    This is exact — the baseline the approximate variants are scored
-    against."""
-    qids, qmat = _load_queries(sf_dir)
-    q_ref = ray.put((qids, qmat))
+def _empty_partials() -> pa.Table:
+    return pa.table(
+        {
+            "query_id": pa.array([], pa.int64()),
+            "vec_id": pa.array([], pa.int64()),
+            "cosine": pa.array([], pa.float64()),
+        }
+    )
 
-    class BatchTopK:
-        def __init__(self):
-            self.qids, self.qmat = ray.get(q_ref)
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ids = t["vec_id"].to_numpy()
-            keep = ids >= N_QUERIES  # exclude the queries themselves
-            if not keep.any():
-                return pa.table(
-                    {
-                        "query_id": pa.array([], pa.int64()),
-                        "vec_id": pa.array([], pa.int64()),
-                        "cosine": pa.array([], pa.float64()),
-                    }
-                )
-            ids = ids[keep]
-            m = np.stack(t["embedding"].to_pandas().to_numpy()[keep]).astype(np.float64)
-            m /= np.linalg.norm(m, axis=1, keepdims=True) + 1e-300
-            cos = m @ self.qmat.T  # (batch, nq)
-            k = min(TOP_K, len(ids))
-            part = np.argpartition(-cos, k - 1, axis=0)[:k]  # (k, nq)
-            out_q, out_v, out_c = [], [], []
-            for qi in range(cos.shape[1]):
-                sel = part[:, qi]
-                out_q.extend([self.qids[qi]] * len(sel))
-                out_v.extend(ids[sel])
-                out_c.extend(cos[sel, qi])
-            return pa.table(
-                {
-                    "query_id": pa.array(np.asarray(out_q, np.int64)),
-                    "vec_id": pa.array(np.asarray(out_v, np.int64)),
-                    "cosine": pa.array(np.asarray(out_c, np.float64)),
-                }
-            )
+def _topk_partials(ids: np.ndarray, norm: np.ndarray, qids: np.ndarray, qmat: np.ndarray) -> pa.Table:
+    """Local top-k of the normalized rows ``norm`` (ids ``ids``) for each
+    query row of ``qmat`` (ids ``qids``): (query_id, vec_id, cosine)."""
+    cos = norm @ qmat.T  # (rows, queries)
+    k = min(TOP_K, len(ids))
+    part = np.argpartition(-cos, k - 1, axis=0)[:k]  # (k, queries)
+    return pa.table(
+        {
+            "query_id": pa.array(np.repeat(np.asarray(qids, np.int64), k)),
+            "vec_id": pa.array(ids[part.T.ravel()].astype(np.int64)),
+            "cosine": pa.array(np.take_along_axis(cos, part, axis=0).T.ravel()),
+        }
+    )
 
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    partials = ds.map_batches(BatchTopK, batch_format="pyarrow", concurrency=(1, 8)).to_pandas()
+
+def _probe_search(g: pa.Table, key: str, qids: np.ndarray, qmat: np.ndarray, probe: dict) -> pa.Table:
+    """Top-k partials of one bucket/list group ``g`` against exactly the
+    queries that probe it (``probe[g[key]]``)."""
+    qidx = probe.get(int(g[key][0].as_py()), [])
+    if not qidx:
+        return _empty_partials()
+    ids = g["vec_id"].to_numpy()
+    norm = np.stack(g["embedding"].to_pandas().to_numpy())
+    # a persisted list can hold the same vec_id twice (ann_index: a crashed
+    # compaction's rename-in-before-delete window); dedup BEFORE the top-k
+    # so duplicates can't take several of the k slots and evict a distinct
+    # true neighbor
+    uniq, first = np.unique(ids, return_index=True)
+    if len(uniq) < len(ids):
+        ids, norm = ids[first], norm[first]
+    return _topk_partials(ids, norm, qids[qidx], qmat[qidx])
+
+
+def _fold_topk(partials: pd.DataFrame) -> pd.DataFrame:
+    """Driver fold of the per-batch/per-group partials to the global
+    per-query top-k, ranked and rounded."""
+    if len(partials) == 0:
+        return pd.DataFrame(columns=["query_id", "rank", "vec_id", "cosine"])
     out = (
         partials.sort_values(["query_id", "cosine", "vec_id"], ascending=[True, False, True])
+        # a duplicated vec_id (see _probe_search) must not fill two slots
+        .drop_duplicates(["query_id", "vec_id"])
         .groupby("query_id", sort=True)
         .head(TOP_K)
         .reset_index(drop=True)
@@ -90,6 +95,30 @@ def ann_topk(sf_dir: str) -> pd.DataFrame:
     out["rank"] = out.groupby("query_id").cumcount() + 1
     out["cosine"] = round_half_away(out["cosine"], 4)
     return out[["query_id", "rank", "vec_id", "cosine"]]
+
+
+def ann_topk(sf_dir: str) -> pd.DataFrame:
+    """Brute-force cosine top-k: the query matrix is broadcast once
+    (ray.put), each batch computes a (batch x queries) matmul and emits its
+    local top-k; the driver folds the tiny partials into the global top-k.
+    This is exact — the baseline the approximate variants are scored
+    against."""
+    q_ref = ray.put(_load_queries(sf_dir))
+
+    def batch_topk(t: pa.Table) -> pa.Table:
+        qids, qmat = ray.get(q_ref)
+        ids = t["vec_id"].to_numpy()
+        keep = ids >= N_QUERIES  # exclude the queries themselves
+        if not keep.any():
+            return _empty_partials()
+        m = np.stack(t["embedding"].to_pandas().to_numpy()[keep]).astype(np.float64)
+        m /= np.linalg.norm(m, axis=1, keepdims=True) + 1e-300
+        return _topk_partials(ids[keep], m, qids, qmat)
+
+    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
+    return _fold_topk(
+        ds.map_batches(batch_topk, batch_format="pyarrow", **worker_runtime_env()).to_pandas()
+    )
 
 
 SQL_ANN_TOPK = f"""
@@ -164,93 +193,42 @@ def ann_lsh_topk(sf_dir: str, with_stats: bool = False):
     the exact baseline is asserted in tests (approximate by design)."""
     qids, qmat = _load_queries(sf_dir)
     pm = _probe_map(qmat)
+    planes = _lsh_planes(qmat.shape[1])
+    probed = np.zeros(1 << LSH_PLANES, dtype=bool)
+    probed[list(pm)] = True
+    bucket_ref = ray.put((planes, probed))
     probe_ref = ray.put((qids, qmat, pm))
 
-    class Bucketize:
-        def __init__(self):
-            _, self.qmat, self.pm = ray.get(probe_ref)
-            self.planes = _lsh_planes(self.qmat.shape[1])
-            self.probed = np.zeros(1 << LSH_PLANES, dtype=bool)
-            self.probed[list(self.pm)] = True
+    def bucketize(t: pa.Table) -> pa.Table:
+        planes, probed = ray.get(bucket_ref)
+        ids = t["vec_id"].to_numpy()
+        m = np.stack(t["embedding"].to_pandas().to_numpy()).astype(np.float64)
+        norm = m / (np.linalg.norm(m, axis=1, keepdims=True) + 1e-300)
+        sig = (norm @ planes.T > 0).astype(np.uint16)
+        bits = (sig << np.arange(LSH_PLANES, dtype=np.uint16)).sum(axis=1)
+        keep = probed[bits] & (ids >= N_QUERIES)
+        emb = pa.array(list(norm[keep]))  # pre-normalized, list<double>
+        return pa.table(
+            {
+                "bucket": pa.array(bits[keep].astype(np.int32)),
+                "vec_id": pa.array(ids[keep]),
+                "embedding": emb,
+            }
+        )
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ids = t["vec_id"].to_numpy()
-            m = np.stack(t["embedding"].to_pandas().to_numpy()).astype(np.float64)
-            norm = m / (np.linalg.norm(m, axis=1, keepdims=True) + 1e-300)
-            sig = (norm @ self.planes.T > 0).astype(np.uint16)
-            bits = (sig << np.arange(LSH_PLANES, dtype=np.uint16)).sum(axis=1)
-            keep = self.probed[bits] & (ids >= N_QUERIES)
-            emb = pa.array(list(norm[keep]))  # pre-normalized, list<double>
-            return pa.table(
-                {
-                    "bucket": pa.array(bits[keep].astype(np.int32)),
-                    "vec_id": pa.array(ids[keep]),
-                    "embedding": emb,
-                }
-            )
-
-    class BucketSearch:
-        def __init__(self):
-            self.qids, self.qmat, self.pm = ray.get(probe_ref)
-
-        def __call__(self, g: pa.Table) -> pa.Table:
-            bucket = int(g["bucket"][0].as_py())
-            qidx = self.pm.get(bucket, [])
-            if not qidx:
-                return pa.table(
-                    {
-                        "query_id": pa.array([], pa.int64()),
-                        "vec_id": pa.array([], pa.int64()),
-                        "cosine": pa.array([], pa.float64()),
-                    }
-                )
-            ids = g["vec_id"].to_numpy()
-            norm = np.stack(g["embedding"].to_pandas().to_numpy())
-            cos = norm @ self.qmat[qidx].T  # (bucket_rows, n_probing_queries)
-            k = min(TOP_K, len(ids))
-            part = np.argpartition(-cos, k - 1, axis=0)[:k]
-            out_q, out_v, out_c = [], [], []
-            for ci, qi in enumerate(qidx):
-                sel = part[:, ci]
-                out_q.extend([self.qids[qi]] * len(sel))
-                out_v.extend(ids[sel])
-                out_c.extend(cos[sel, ci])
-            return pa.table(
-                {
-                    "query_id": pa.array(np.asarray(out_q, np.int64)),
-                    "vec_id": pa.array(np.asarray(out_v, np.int64)),
-                    "cosine": pa.array(np.asarray(out_c, np.float64)),
-                }
-            )
+    def bucket_search(g: pa.Table) -> pa.Table:
+        return _probe_search(g, "bucket", *ray.get(probe_ref))
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    # materialize the (probe-pruned, small) assignment before the groupby
-    # sort: an actor pool feeding a sort in one lazy graph can starve the
-    # sort's sample tasks on small CPU counts (see curation.corpus_filter)
-    bucketed = ds.map_batches(
-        Bucketize, batch_format="pyarrow", concurrency=(1, 8)
-    ).materialize()
-    if with_stats:
+    bucketed = ds.map_batches(bucketize, batch_format="pyarrow", **worker_runtime_env())
+    if with_stats:  # counted and then searched: run the bucketize pass once
+        bucketed = bucketed.materialize()
         scanned = bucketed.count()
-    partials = (
+    out = _fold_topk(
         bucketed.groupby("bucket")
-        .map_groups(BucketSearch, batch_format="pyarrow", concurrency=(1, 8))
+        .map_groups(bucket_search, batch_format="pyarrow", **worker_runtime_env())
         .to_pandas()
     )
-    if len(partials) == 0:
-        out = pd.DataFrame(columns=["query_id", "rank", "vec_id", "cosine"])
-    else:
-        out = (
-            partials.sort_values(
-                ["query_id", "cosine", "vec_id"], ascending=[True, False, True]
-            )
-            .groupby("query_id", sort=True)
-            .head(TOP_K)
-            .reset_index(drop=True)
-        )
-        out["rank"] = out.groupby("query_id").cumcount() + 1
-        out["cosine"] = round_half_away(out["cosine"], 4)
-        out = out[["query_id", "rank", "vec_id", "cosine"]]
     if with_stats:
         total = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id"]).count()
         return out, {"rows_scanned": scanned, "rows_total": total}
@@ -311,89 +289,39 @@ def ann_ivf_topk(sf_dir: str, with_stats: bool = False):
     for qi in range(len(qids)):
         for c in np.argsort(-qsim[qi])[:IVF_NPROBE]:
             probe.setdefault(int(c), []).append(qi)
-    probe_ref = ray.put((qids, qmat, cents, probe))
+    probed = np.zeros(IVF_LISTS, dtype=bool)
+    probed[list(probe)] = True
+    assign_ref = ray.put((cents, probed))
+    probe_ref = ray.put((qids, qmat, probe))
 
-    class Assign:
-        def __init__(self):
-            _, self.qmat, self.cents, self.probe = ray.get(probe_ref)
-            self.probed = np.zeros(IVF_LISTS, dtype=bool)
-            self.probed[list(self.probe)] = True
+    def assign(t: pa.Table) -> pa.Table:
+        cents, probed = ray.get(assign_ref)
+        ids = t["vec_id"].to_numpy()
+        m = np.stack(t["embedding"].to_pandas().to_numpy()).astype(np.float64)
+        norm = m / (np.linalg.norm(m, axis=1, keepdims=True) + 1e-300)
+        lists = (norm @ cents.T).argmax(axis=1)
+        keep = probed[lists] & (ids >= N_QUERIES)
+        return pa.table(
+            {
+                "list_id": pa.array(lists[keep].astype(np.int32)),
+                "vec_id": pa.array(ids[keep]),
+                "embedding": pa.array(list(norm[keep])),
+            }
+        )
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ids = t["vec_id"].to_numpy()
-            m = np.stack(t["embedding"].to_pandas().to_numpy()).astype(np.float64)
-            norm = m / (np.linalg.norm(m, axis=1, keepdims=True) + 1e-300)
-            lists = (norm @ self.cents.T).argmax(axis=1)
-            keep = self.probed[lists] & (ids >= N_QUERIES)
-            return pa.table(
-                {
-                    "list_id": pa.array(lists[keep].astype(np.int32)),
-                    "vec_id": pa.array(ids[keep]),
-                    "embedding": pa.array(list(norm[keep])),
-                }
-            )
-
-    class ListSearch:
-        def __init__(self):
-            self.qids, self.qmat, _, self.probe = ray.get(probe_ref)
-
-        def __call__(self, g: pa.Table) -> pa.Table:
-            lid = int(g["list_id"][0].as_py())
-            qidx = self.probe.get(lid, [])
-            if not qidx:
-                return pa.table(
-                    {
-                        "query_id": pa.array([], pa.int64()),
-                        "vec_id": pa.array([], pa.int64()),
-                        "cosine": pa.array([], pa.float64()),
-                    }
-                )
-            ids = g["vec_id"].to_numpy()
-            norm = np.stack(g["embedding"].to_pandas().to_numpy())
-            cos = norm @ self.qmat[qidx].T
-            k = min(TOP_K, len(ids))
-            part = np.argpartition(-cos, k - 1, axis=0)[:k]
-            out_q, out_v, out_c = [], [], []
-            for ci, qi in enumerate(qidx):
-                sel = part[:, ci]
-                out_q.extend([self.qids[qi]] * len(sel))
-                out_v.extend(ids[sel])
-                out_c.extend(cos[sel, ci])
-            return pa.table(
-                {
-                    "query_id": pa.array(np.asarray(out_q, np.int64)),
-                    "vec_id": pa.array(np.asarray(out_v, np.int64)),
-                    "cosine": pa.array(np.asarray(out_c, np.float64)),
-                }
-            )
+    def list_search(g: pa.Table) -> pa.Table:
+        return _probe_search(g, "list_id", *ray.get(probe_ref))
 
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
-    # materialized before the groupby sort for the same pool-vs-sort
-    # scheduling reason as ann_lsh_topk above
-    assigned = ds.map_batches(
-        Assign, batch_format="pyarrow", concurrency=(1, 8)
-    ).materialize()
-    if with_stats:
+    assigned = ds.map_batches(assign, batch_format="pyarrow", **worker_runtime_env())
+    if with_stats:  # counted and then searched: run the assign pass once
+        assigned = assigned.materialize()
         scanned = assigned.count()
-    partials = (
+    out = _fold_topk(
         assigned.groupby("list_id")
-        .map_groups(ListSearch, batch_format="pyarrow", concurrency=(1, 8))
+        .map_groups(list_search, batch_format="pyarrow", **worker_runtime_env())
         .to_pandas()
     )
-    if len(partials) == 0:
-        out = pd.DataFrame(columns=["query_id", "rank", "vec_id", "cosine"])
-    else:
-        out = (
-            partials.sort_values(
-                ["query_id", "cosine", "vec_id"], ascending=[True, False, True]
-            )
-            .groupby("query_id", sort=True)
-            .head(TOP_K)
-            .reset_index(drop=True)
-        )
-        out["rank"] = out.groupby("query_id").cumcount() + 1
-        out["cosine"] = round_half_away(out["cosine"], 4)
-        out = out[["query_id", "rank", "vec_id", "cosine"]]
     if with_stats:
         total = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id"]).count()
         return out, {"rows_scanned": scanned, "rows_total": total}

@@ -111,72 +111,60 @@ def update_windows(
 
     routed = changes.map_batches(route, batch_format="pyarrow", **worker_runtime_env())
 
-    class WindowFolder:
-        """Per-partition fold (actor pool): load existing counts once,
-        watermark-filter the batch, add partial counts, atomic rewrite."""
-
-        def __init__(self, out: str):
-            self.out = out
-
-        def __call__(self, g: pa.Table) -> pa.Table:
-            pid = int(g["_pid"][0].as_py())
-            wm_prev = _read_wm(self.out, pid)
-            seqs = g["commit_seq"]
-            keep = pc.fill_null(pc.greater(seqs, wm_prev), False)
-            n_in = len(g)
-            g = g.filter(keep)
-            n_skipped = n_in - len(g)  # late/duplicate rows under the watermark
-            wm_new = wm_prev
-            if len(g):
-                wm_new = int(pc.max(g["commit_seq"]).as_py())
+    def fold_partition(g: pa.Table) -> pa.Table:
+        """Per-partition fold: load existing counts, watermark-filter the
+        batch, add partial counts, atomic rewrite."""
+        pid = int(g["_pid"][0].as_py())
+        wm_prev = _read_wm(out_dir, pid)
+        seqs = g["commit_seq"]
+        keep = pc.fill_null(pc.greater(seqs, wm_prev), False)
+        n_in = len(g)
+        g = g.filter(keep)
+        n_skipped = n_in - len(g)  # late/duplicate rows under the watermark
+        wm_new = wm_prev
+        if len(g):
+            wm_new = int(pc.max(g["commit_seq"]).as_py())
+            part = (
+                pl.from_arrow(g.select(["repo", "commit_seq"]))
+                .with_columns(
+                    (pl.col("commit_seq") // WINDOW_SEQS).alias("window_id")
+                )
+                .group_by(["repo", "window_id"])
+                .agg(pl.len().cast(pl.Int64).alias("n_changes"))
+            )
+            pf = _part_file(out_dir, pid)
+            if os.path.exists(pf):
+                prev = pl.from_arrow(pq.read_table(pf))
                 part = (
-                    pl.from_arrow(g.select(["repo", "commit_seq"]))
-                    .with_columns(
-                        (pl.col("commit_seq") // WINDOW_SEQS).alias("window_id")
-                    )
+                    pl.concat([prev, part])
                     .group_by(["repo", "window_id"])
-                    .agg(pl.len().cast(pl.Int64).alias("n_changes"))
+                    .agg(pl.col("n_changes").sum())
                 )
-                pf = _part_file(self.out, pid)
-                if os.path.exists(pf):
-                    prev = pl.from_arrow(pq.read_table(pf))
-                    part = (
-                        pl.concat([prev, part])
-                        .group_by(["repo", "window_id"])
-                        .agg(pl.col("n_changes").sum())
-                    )
-                state = part.sort(["repo", "window_id"]).to_arrow().cast(STATE_SCHEMA)
-                # counts + watermark in one atomic rename: the footer
-                # watermark can never lag the counts it covers
-                state = state.replace_schema_metadata(
-                    {b"watermark_seq": str(wm_new).encode()}
-                )
-                _atomic_write(state, _part_file(self.out, pid))
-            _atomic_json(
-                {"partition_id": pid, "watermark_seq": wm_new}, _wm_file(self.out, pid)
+            state = part.sort(["repo", "window_id"]).to_arrow().cast(STATE_SCHEMA)
+            # counts + watermark in one atomic rename: the footer
+            # watermark can never lag the counts it covers
+            state = state.replace_schema_metadata(
+                {b"watermark_seq": str(wm_new).encode()}
             )
-            return pa.table(
-                {
-                    "partition_id": pa.array([pid], pa.int32()),
-                    "rows_folded": pa.array([len(g)], pa.int64()),
-                    "rows_skipped": pa.array([n_skipped], pa.int64()),
-                    "watermark_seq": pa.array([wm_new], pa.int64()),
-                }
-            )
+            _atomic_write(state, _part_file(out_dir, pid))
+        _atomic_json(
+            {"partition_id": pid, "watermark_seq": wm_new}, _wm_file(out_dir, pid)
+        )
+        return pa.table(
+            {
+                "partition_id": pa.array([pid], pa.int32()),
+                "rows_folded": pa.array([len(g)], pa.int64()),
+                "rows_skipped": pa.array([n_skipped], pa.int64()),
+                "watermark_seq": pa.array([wm_new], pa.int64()),
+            }
+        )
 
     os.makedirs(os.path.join(out_dir, "window_counts"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "_window_manifest"), exist_ok=True)
     _atomic_json({"num_partitions": num_partitions}, jm_path)
     summary = (
         routed.groupby("_pid")
-        .map_groups(
-            WindowFolder,
-            fn_constructor_kwargs={"out": out_dir},
-            batch_format="pyarrow",
-            num_cpus=1,
-            concurrency=(1, 4),
-            **worker_runtime_env(),
-        )
+        .map_groups(fold_partition, batch_format="pyarrow", **worker_runtime_env())
         .to_pandas()
     )
     return {

@@ -276,26 +276,20 @@ def text_fingerprint(sf_dir: str) -> rd.Dataset:
     modulo formatting/case) — SQL-comparable."""
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
-    class FP:
-        def __call__(self, t: pa.Table) -> pa.Table:
-            # normalization stays in the Rust string kernels; the md5 hashes
-            # the normalized column's Arrow buffer directly (zero-copy
-            # slices, hashing.md5_hex — no per-row Python strings)
-            norm = (
-                pl.from_arrow(t.select(["text"]))
-                .select(
-                    pl.col("text")
-                    .str.to_lowercase()
-                    .str.replace_all(r"[^a-z0-9]+", "")
-                    .alias("n")
-                )["n"]
-                .to_arrow()
-            )
-            return pa.table(
-                {"doc_id": t["doc_id"], "md5_fingerprint": md5_hex(norm)}
-            )
+    def fp(t: pa.Table) -> pa.Table:
+        # normalization stays in the Rust string kernels; the md5 hashes
+        # the normalized column's Arrow buffer directly (zero-copy slices,
+        # hashing.md5_hex — no per-row Python strings)
+        norm = (
+            pl.from_arrow(t.select(["text"]))
+            .select(
+                pl.col("text").str.to_lowercase().str.replace_all(r"[^a-z0-9]+", "").alias("n")
+            )["n"]
+            .to_arrow()
+        )
+        return pa.table({"doc_id": t["doc_id"], "md5_fingerprint": md5_hex(norm)})
 
-    return ds.map_batches(FP, batch_format="pyarrow", concurrency=(1, 8))
+    return ds.map_batches(fp, batch_format="pyarrow", **worker_runtime_env())
 
 
 SQL_TEXT_FINGERPRINT = """
@@ -306,34 +300,26 @@ FROM documents
 
 
 #: GPT2-style pre-tokenizer approximation: contractions, letter runs,
-#: number runs, punctuation runs, whitespace runs.
-_BPE_ISH = (
+#: number runs, punctuation runs, whitespace runs.  A lookahead regex:
+#: Python ``re`` only (polars' Rust regex crate has no lookarounds).
+_BPE_ISH = re.compile(
     r"'(?:s|t|re|ve|m|ll|d)| ?[A-Za-z]+| ?[0-9]+| ?[^\sA-Za-z0-9]+|\s+(?!\S)|\s+"
 )
 
 
 def text_bpe_tokens(sf_dir: str) -> rd.Dataset:
     """BPE-ish token counting (the tokenizer-budget estimator): counts
-    matches of a GPT2-style pre-tokenization regex.  Compiled once per
-    actor; rows-only check (lookahead regexes aren't portable to the SQL
-    oracle's RE2 engine)."""
+    matches of a GPT2-style pre-tokenization regex, compiled once per
+    worker process at import; rows-only check (lookahead regexes aren't
+    portable to the SQL oracle's RE2 engine)."""
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
-    class Bpe:
-        def __init__(self):
-            # lookahead regex: Python re only (polars' Rust regex crate has
-            # no lookarounds) — the actor pool amortizes the compile; the
-            # match loop is the irreducible cost either way
-            self.pat = re.compile(_BPE_ISH)
+    def bpe(t: pa.Table) -> pa.Table:
+        findall = _BPE_ISH.findall
+        counts = [len(findall(s)) if s is not None else 0 for s in t["text"].to_pylist()]
+        return pa.table({"doc_id": t["doc_id"], "n_bpe_tokens": pa.array(counts, pa.int64())})
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            findall = self.pat.findall
-            counts = [len(findall(s)) if s is not None else 0 for s in t["text"].to_pylist()]
-            return pa.table(
-                {"doc_id": t["doc_id"], "n_bpe_tokens": pa.array(counts, pa.int64())}
-            )
-
-    return ds.map_batches(Bpe, batch_format="pyarrow", concurrency=(1, 4))
+    return ds.map_batches(bpe, batch_format="pyarrow", **worker_runtime_env())
 
 
 def text_rolling_fp(sf_dir: str) -> rd.Dataset:
@@ -352,7 +338,7 @@ def text_rolling_fp(sf_dir: str) -> rd.Dataset:
 # --- PII scrubbing -----------------------------------------------------------
 
 # deliberately simple, SQL-portable patterns (no lookarounds): the point is
-# the masking STAGE (compiled-once actor pool, vectorized replace), not a
+# the masking STAGE (stateless task, vectorized replace), not a
 # production PII model
 _EMAIL_RE = r"[A-Za-z0-9_.]+@[A-Za-z0-9_.]+"
 _NUM_RE = r"[0-9][0-9][0-9]+"
@@ -626,39 +612,24 @@ def heavy_hitter_tokens(sf_dir: str) -> rd.Dataset:
     for t in ray.get(cand.materialize().to_arrow_refs()):
         if len(t) and "tok" in t.schema.names:
             cand_tokens.update(t["tok"].to_pylist())
-    cand_ref = ray.put(cand_tokens)
+    # pass 2 counts ONLY the broadcast candidates
+    cand_ref = ray.put(pl.Series("c", sorted(cand_tokens)))
 
-    class ExactCounter:
-        """Pass 2: count ONLY the broadcast candidates (set fetched once
-        per worker from the object store, never re-shipped per batch)."""
-
-        def __init__(self, ref):
-            self.cands = pl.Series("c", sorted(ray.get(ref)))
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            df = pl.from_arrow(t)
-            return (
-                df.select(pl.col("text").str.extract_all(_WORD).alias("tok"))
-                .explode("tok")
-                .drop_nulls()
-                .filter(pl.col("tok").is_in(self.cands))
-                .group_by("tok")
-                .agg(pl.len().cast(pl.Int64).alias("pn"))
-                .to_arrow()
-                .cast(_HH_PARTIAL)
-            )
+    def exact_counter(t: pa.Table) -> pa.Table:
+        return (
+            pl.from_arrow(t)
+            .select(pl.col("text").str.extract_all(_WORD).alias("tok"))
+            .explode("tok")
+            .drop_nulls()
+            .filter(pl.col("tok").is_in(ray.get(cand_ref)))
+            .group_by("tok")
+            .agg(pl.len().cast(pl.Int64).alias("pn"))
+            .to_arrow()
+            .cast(_HH_PARTIAL)
+        )
 
     exact_thr = HH_PHI * n_total
-    exact_partials = ds.map_batches(
-        ExactCounter,
-        fn_constructor_kwargs={"ref": cand_ref},
-        batch_format="pyarrow",
-        concurrency=(1, 8),
-        num_cpus=1,
-        **worker_runtime_env(),
-    ).materialize()  # actor pool must finish before the sort-based groupby
-    #                  samples run (pool-before-sort livelock, BASELINE.md);
-    #                  partials are tiny (< 1.3k candidate rows per batch)
+    exact_partials = ds.map_batches(exact_counter, batch_format="pyarrow", **worker_runtime_env())
     return (
         exact_partials.groupby("tok")
         .aggregate(Sum("pn", alias_name="n"))
@@ -757,55 +728,47 @@ def unigram_score(sf_dir: str) -> rd.Dataset:
         if parts
         else pa.table({"tok": pa.array([], pa.string()), "n": pa.array([], pa.int64())})
     )
-    vocab_ref = ray.put(vt)
+    vocab_ref = ray.put(pl.from_arrow(vt).rename({"tok": "v_tok"}))
 
-    class Score:
-        """Pass 2: streaming per-doc mean vocab frequency (vocab fetched
-        once per actor from plasma, joined in the Rust kernel)."""
-
-        def __init__(self):
-            t = ray.get(vocab_ref)
-            self.vocab = pl.from_arrow(t).rename({"tok": "v_tok"})
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            df = pl.from_arrow(t)
-            base = df.with_row_index("ri").select(
-                "ri",
-                "doc_id",
-                pl.col("text").str.extract_all(_WORD).alias("toks"),
+    def score(t: pa.Table) -> pa.Table:
+        """Pass 2: streaming per-doc mean vocab frequency (the broadcast
+        vocab joined in the Rust kernel)."""
+        df = pl.from_arrow(t)
+        base = df.with_row_index("ri").select(
+            "ri",
+            "doc_id",
+            pl.col("text").str.extract_all(_WORD).alias("toks"),
+        )
+        base = base.with_columns(
+            # null text -> null token list; the oracle COALESCEs
+            # n_tokens to 0 (left join misses), so fill here too
+            pl.col("toks").list.len().cast(pl.Int64).fill_null(0).alias("n_tokens")
+        )
+        freq = (
+            base.select("ri", "toks")
+            .explode("toks")
+            .drop_nulls("toks")
+            .join(ray.get(vocab_ref), left_on="toks", right_on="v_tok", how="left")
+            .group_by("ri")
+            .agg(pl.col("n").fill_null(0).sum().alias("freq_sum"))
+        )
+        out = (
+            base.select("ri", "doc_id", "n_tokens")
+            .join(freq, on="ri", how="left")
+            .with_columns(pl.col("freq_sum").fill_null(0).cast(pl.Int64))
+            .with_columns(
+                pl.when(pl.col("n_tokens") > 0)
+                .then(pl.col("freq_sum") / pl.col("n_tokens"))
+                .otherwise(None)
+                .alias("uni_score")
             )
-            base = base.with_columns(
-                # null text -> null token list; the oracle COALESCEs
-                # n_tokens to 0 (left join misses), so fill here too
-                pl.col("toks").list.len().cast(pl.Int64).fill_null(0).alias("n_tokens")
-            )
-            freq = (
-                base.select("ri", "toks")
-                .explode("toks")
-                .drop_nulls("toks")
-                .join(self.vocab, left_on="toks", right_on="v_tok", how="left")
-                .group_by("ri")
-                .agg(pl.col("n").fill_null(0).sum().alias("freq_sum"))
-            )
-            out = (
-                base.select("ri", "doc_id", "n_tokens")
-                .join(freq, on="ri", how="left")
-                .with_columns(pl.col("freq_sum").fill_null(0).cast(pl.Int64))
-                .with_columns(
-                    pl.when(pl.col("n_tokens") > 0)
-                    .then(pl.col("freq_sum") / pl.col("n_tokens"))
-                    .otherwise(None)
-                    .alias("uni_score")
-                )
-                .sort("ri")
-                .select("doc_id", "n_tokens", "freq_sum", "uni_score")
-            )
-            return out.to_arrow()
+            .sort("ri")
+            .select("doc_id", "n_tokens", "freq_sum", "uni_score")
+        )
+        return out.to_arrow()
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return docs.map_batches(
-        Score, batch_format="pyarrow", concurrency=(1, 8), **worker_runtime_env()
-    )
+    return docs.map_batches(score, batch_format="pyarrow", **worker_runtime_env())
 
 
 SQL_UNIGRAM_SCORE = f"""

@@ -163,11 +163,8 @@ def tpch_q5(sf_dir: str) -> rd.Dataset:
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_orderdate"]
     )
 
-    # stateless tasks, not actor pools: the broadcast side is fetched from
-    # the worker-local object store per task (cheap), and tasks release
-    # their CPUs before the downstream join sort — an actor pool feeding a
-    # sort in the same lazy graph can starve the sort's sample tasks on
-    # small CPU counts (see curation.corpus_filter's materialize note)
+    # the broadcast side is fetched from the worker-local object store per
+    # task (cheap)
     def order_side(t: pa.Table) -> pa.Table:
         cust_tbl, _ = ray.get(side_ref)
         df = pl.from_arrow(t).filter(
@@ -368,22 +365,15 @@ def tpch_q18(sf_dir: str) -> rd.Dataset:
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_totalprice"]
     )
 
-    class Report:
-        def __init__(self):
-            self.big = ray.get(big_ref)
+    def report(t: pa.Table) -> pa.Table:
+        import pandas as pd
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            import pandas as pd
+        big = ray.get(big_ref)
+        df = pl.from_arrow(t).filter(pl.col("o_orderkey").is_in(list(big)))
+        qty = pd.Series(df["o_orderkey"].to_numpy()).map(big).to_numpy()
+        return df.with_columns(pl.Series("total_qty", qty, dtype=pl.Float64)).to_arrow()
 
-            df = pl.from_arrow(t).filter(
-                pl.col("o_orderkey").is_in(list(self.big))
-            )
-            qty = pd.Series(df["o_orderkey"].to_numpy()).map(self.big).to_numpy()
-            return df.with_columns(
-                pl.Series("total_qty", qty, dtype=pl.Float64)
-            ).to_arrow()
-
-    out = orders.map_batches(Report, batch_format="pyarrow", concurrency=(1, 4))
+    out = orders.map_batches(report, batch_format="pyarrow", **worker_runtime_env())
     return out.map_batches(
         lambda t: t.set_column(
             t.column_names.index("total_qty"), "total_qty", round_half_away_pc(t["total_qty"], 2)
@@ -644,26 +634,18 @@ def tpch_q14(sf_dir: str) -> rd.Dataset:
         filter=(pads.field("l_shipdate") >= lo) & (pads.field("l_shipdate") < hi),
     )
 
-    class Partial:
-        def __init__(self):
-            self.promo = ray.get(promo_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            import numpy as np
-
-            rev = (
-                t["l_extendedprice"].to_numpy() * (1.0 - t["l_discount"].to_numpy())
-            )
-            is_promo = np.isin(t["l_partkey"].to_numpy(), self.promo)
-            return pa.table(
-                {
-                    "pp": pa.array([float(rev[is_promo].sum())], pa.float64()),
-                    "pt": pa.array([float(rev.sum())], pa.float64()),
-                }
-            )
+    def partial(t: pa.Table) -> pa.Table:
+        rev = t["l_extendedprice"].to_numpy() * (1.0 - t["l_discount"].to_numpy())
+        is_promo = np.isin(t["l_partkey"].to_numpy(), ray.get(promo_ref))
+        return pa.table(
+            {
+                "pp": pa.array([float(rev[is_promo].sum())], pa.float64()),
+                "pt": pa.array([float(rev.sum())], pa.float64()),
+            }
+        )
 
     folded = (
-        line.map_batches(Partial, batch_format="pyarrow", concurrency=(1, 4), **worker_runtime_env())
+        line.map_batches(partial, batch_format="pyarrow", **worker_runtime_env())
         .aggregate(Sum("pp", alias_name="promo"), Sum("pt", alias_name="total"))
     )
     import pandas as pd
@@ -707,7 +689,7 @@ def tpch_q16(sf_dir: str) -> rd.Dataset:
     strictly bigger — the harder version).
 
     Physical plan: the part predicate prunes AT THE BROADCAST (the
-    filtered part map ships once via ``ray.put``, read per actor); the
+    filtered part map ships once via ``ray.put``, read per task); the
     supplier blacklist is a modulus test applied vectorized (at scale: a
     broadcast keyset exactly like the part map).  Each lineitem batch
     collapses to its UNIQUE (partkey, suppkey) pairs map-side BEFORE the
@@ -724,35 +706,26 @@ def tpch_q16(sf_dir: str) -> rd.Dataset:
         & ~pl.col("p_type").str.starts_with(Q16_TYPE_PREFIX)
         & pl.col("p_size").is_in(list(Q16_SIZES))
     )
-    pmap_ref = ray.put(
-        part.select(["p_partkey", "p_brand", "p_type", "p_size"]).to_arrow()
-    )
+    pmap_ref = ray.put(part.select(["p_partkey", "p_brand", "p_type", "p_size"]))
 
-    class PairPartial:
+    def pair_partial(t: pa.Table) -> pa.Table:
         """Per-batch unique (part-attrs, suppkey) pairs; part attrs attach
-        from the broadcast map (fetched once per actor)."""
-
-        def __init__(self):
-            self.pmap = pl.from_arrow(ray.get(pmap_ref))
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            df = pl.from_arrow(t.select(["l_partkey", "l_suppkey"]))
-            return (
-                df.filter(pl.col("l_suppkey") % Q16_BLACKLIST_MOD != 0)
-                .unique()
-                .join(self.pmap, left_on="l_partkey", right_on="p_partkey", how="inner")
-                .select(["p_brand", "p_type", "p_size", "l_suppkey"])
-                .unique()
-                .to_arrow()
-            )
+        from the broadcast map."""
+        df = pl.from_arrow(t.select(["l_partkey", "l_suppkey"]))
+        return (
+            df.filter(pl.col("l_suppkey") % Q16_BLACKLIST_MOD != 0)
+            .unique()
+            .join(ray.get(pmap_ref), left_on="l_partkey", right_on="p_partkey", how="inner")
+            .select(["p_brand", "p_type", "p_size", "l_suppkey"])
+            .unique()
+            .to_arrow()
+        )
 
     from ray.data.aggregate import Count
 
     line = rd.read_parquet(f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"])
     distinct4 = (
-        line.map_batches(
-            PairPartial, batch_format="pyarrow", concurrency=(1, 8), **worker_runtime_env()
-        )
+        line.map_batches(pair_partial, batch_format="pyarrow", **worker_runtime_env())
         .groupby(["p_brand", "p_type", "p_size", "l_suppkey"])
         .aggregate(Count(alias_name="_c"))  # global dedup of the 4-tuple
     )
@@ -1009,26 +982,20 @@ def tpch_q21(sf_dir: str) -> rd.Dataset:
     )
 
     sup = pl.read_parquet(f"{sf_dir}/supplier.parquet").select(["s_suppkey", "s_name"])
-    sup_ref = ray.put(sup.to_arrow())
+    sup_ref = ray.put(sup)
 
-    class AttachName:
-        def __init__(self):
-            self.sup = pl.from_arrow(ray.get(sup_ref))
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            return (
-                pl.from_arrow(t)
-                .group_by("late_supp")
-                .agg(pl.len().cast(pl.Int64).alias("pn"))
-                .join(self.sup, left_on="late_supp", right_on="s_suppkey", how="inner")
-                .select(["s_name", "pn"])
-                .to_arrow()
-            )
+    def attach_name(t: pa.Table) -> pa.Table:
+        return (
+            pl.from_arrow(t)
+            .group_by("late_supp")
+            .agg(pl.len().cast(pl.Int64).alias("pn"))
+            .join(ray.get(sup_ref), left_on="late_supp", right_on="s_suppkey", how="inner")
+            .select(["s_name", "pn"])
+            .to_arrow()
+        )
 
     return (
-        culprit_orders.map_batches(
-            AttachName, batch_format="pyarrow", concurrency=(1, 4)
-        )
+        culprit_orders.map_batches(attach_name, batch_format="pyarrow", **worker_runtime_env())
         .groupby("s_name")
         .aggregate(Sum("pn", alias_name="numwait"))
         .sort(["numwait", "s_name"], descending=[True, False])

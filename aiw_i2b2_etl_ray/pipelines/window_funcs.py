@@ -602,32 +602,20 @@ def value_outliers(sf_dir: str) -> rd.Dataset:
         pl.DataFrame({"event_type": stats["event_type"], "m": mean, "sd": sd})
     )
 
-    class Flag:
+    def flag(t: pa.Table) -> pa.Table:
         """Vectorized z-score screen: the tiny per-type stats table joins
         each batch inside polars (hash lookup in the Rust kernel — no
         per-row Python) and the filter+round stay in Arrow memory."""
+        z = (pl.col("value") - pl.col("m")) / pl.col("sd")
+        return (
+            pl.from_arrow(t)
+            .join(ray.get(stats_ref), on="event_type", how="left")
+            .filter((pl.col("sd") > 0) & (z.abs() > Z_CUTOFF))
+            .select("event_id", "event_type", "value", round_half_away_pl(z, 4).alias("z"))
+            .to_arrow()
+        )
 
-        def __init__(self):
-            self.stats = ray.get(stats_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            z = (pl.col("value") - pl.col("m")) / pl.col("sd")
-            return (
-                pl.from_arrow(t)
-                .join(self.stats, on="event_type", how="left")
-                .filter((pl.col("sd") > 0) & (z.abs() > Z_CUTOFF))
-                .select(
-                    "event_id",
-                    "event_type",
-                    "value",
-                    round_half_away_pl(z, 4).alias("z"),
-                )
-                .to_arrow()
-            )
-
-    return ds.map_batches(
-        Flag, batch_format="pyarrow", concurrency=(1, 4), **worker_runtime_env()
-    )
+    return ds.map_batches(flag, batch_format="pyarrow", **worker_runtime_env())
 
 
 SQL_VALUE_OUTLIERS = f"""

@@ -74,31 +74,3 @@ def test_alternate_format_replay_matches_parquet(
         _read_fact(ref_spec.out_dir),
         ["repo", "path", "commit_seq"],
     )
-
-
-def test_push_and_pull_shuffle_replays_identical(small_changes, tmp_path, ray_session):
-    """The shuffle implementation is a placement detail: push-based and
-    pull-based exchanges must produce byte-identical star-schema state."""
-    from aiw_i2b2_etl_ray.config import ReplaySpec
-
-    outs = {}
-    for strat in ("push", "pull"):
-        spec = ReplaySpec(
-            out_dir=str(tmp_path / f"out_{strat}"),
-            num_partitions=4,
-            salt_buckets=1,
-            hot_key_threshold=0,
-            shuffle=strat,
-        )
-        replay(small_changes, spec)
-        outs[strat] = spec
-    assert_table_eq(
-        load_path_dim(outs["push"].out_dir),
-        load_path_dim(outs["pull"].out_dir),
-        ["repo", "path"],
-    )
-    assert_table_eq(
-        _read_fact(outs["push"].out_dir),
-        _read_fact(outs["pull"].out_dir),
-        ["repo", "path", "commit_seq"],
-    )

@@ -2,8 +2,9 @@
 XML parse/generate (M16/M17)."""
 
 import pyarrow as pa
+import pytest
 
-from aiw_i2b2_etl_ray.config import ReplaySpec
+from aiw_i2b2_etl_ray.config import RETIRED_SPEC_KEYS, ReplaySpec
 from aiw_i2b2_etl_ray.functions.value_metadata import (
     ValueMetadata,
     generate_value_metadata,
@@ -23,17 +24,24 @@ def test_spec_json_roundtrip():
     assert ReplaySpec.from_json(spec.to_json()) == spec
 
 
-def test_spec_json_with_retired_merge_pool_knob_loads():
-    """A spec saved while the merge ran on a sized actor pool still loads;
-    the retired knob is dropped and the spec round-trips without it."""
+@pytest.mark.parametrize(
+    "key,value",
+    [("merge_concurrency", [1, 4]), ("shuffle", "pull"), ("batch_size", 65536)],
+    ids=["merge_concurrency", "shuffle", "batch_size"],
+)
+def test_spec_json_with_retired_key_loads(key, value):
+    """A spec saved before a ReplaySpec option was retired still loads;
+    the retired key is dropped and the spec round-trips without it."""
     import json
 
+    assert key in RETIRED_SPEC_KEYS
     spec = ReplaySpec(out_dir="/tmp/x", num_partitions=7)
     legacy = json.loads(spec.to_json())
-    legacy["merge_concurrency"] = [1, 4]
+    assert key not in legacy
+    legacy[key] = value
     back = ReplaySpec.from_json(json.dumps(legacy))
     assert back == spec
-    assert "merge_concurrency" not in json.loads(back.to_json())
+    assert key not in json.loads(back.to_json())
     assert ReplaySpec.from_json(back.to_json()) == spec
 
 

@@ -8,33 +8,21 @@ its own with ``num_cpus=1``.
 """
 
 import json
-import os
-import signal
-import subprocess
-import sys
 
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
-import pytest
 
 from aiw_i2b2_etl_ray.config import ReplaySpec
 from aiw_i2b2_etl_ray.pipelines import cdc_replay
 
-from .util import assert_table_eq
+from .util import assert_table_eq, run_one_cpu
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: a 40k-event replay takes a few seconds at num_cpus=1; the pool-based
 #: merge never finished one at all
 ONE_CPU_TIMEOUT_S = 120
 
 _ONE_CPU_SCRIPT = """
 import json, sys
-import ray
-from aiw_i2b2_etl_ray.util import cap_kernel_threads
-cap_kernel_threads()
-ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
-from ray.data import DataContext
-DataContext.get_current().enable_progress_bars = False
 from aiw_i2b2_etl_ray.config import ReplaySpec
 from aiw_i2b2_etl_ray.pipelines.cdc_replay import replay
 head, tail, out = sys.argv[1:4]
@@ -76,25 +64,9 @@ def _split(log: str, tmp_path):
 
 
 def _run_one_cpu(*args: str) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = REPO_ROOT + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("RAY_ADDRESS", None)
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _ONE_CPU_SCRIPT, *args],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        cwd=REPO_ROOT,
-        env=env,
-        start_new_session=True,  # own pgid: a timeout reaps its Ray daemons
+    out = run_one_cpu(
+        _ONE_CPU_SCRIPT, *args, timeout_s=ONE_CPU_TIMEOUT_S, what="replace + update"
     )
-    try:
-        out, err = proc.communicate(timeout=ONE_CPU_TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail(f"num_cpus=1 replace + update did not finish in {ONE_CPU_TIMEOUT_S} s")
-    assert proc.returncode == 0, err[-2000:]
     return json.loads(out.strip().splitlines()[-1])
 
 

@@ -1,5 +1,23 @@
+import os
+import signal
+import subprocess
+import sys
+
 import pandas as pd
 import pyarrow as pa
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: prologue of a script run by :func:`run_one_cpu`: its own Ray session
+#: with a single logical CPU and the kernel thread caps
+ONE_CPU_PROLOGUE = """
+import ray
+from aiw_i2b2_etl_ray.util import cap_kernel_threads
+cap_kernel_threads()
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+"""
 
 
 def to_pdf(x) -> pd.DataFrame:
@@ -42,3 +60,31 @@ def assert_table_eq(actual, expected, keys, *, ignore=()):
         assert not bad.any(), f"column {c}: {int(bad.sum())} mismatches\n" + str(
             pd.concat([a[bad][keys], av[bad].rename('actual'), ev[bad].rename('expected')], axis=1).head(10)
         )
+
+
+def run_one_cpu(script: str, *args: str, timeout_s: int, what: str) -> str:
+    """Run ``ONE_CPU_PROLOGUE + script`` in a fresh interpreter (its own
+    ``num_cpus=1`` Ray session) and return its stdout; fail the test if
+    it does not finish ``what`` within ``timeout_s``."""
+    import pytest
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = REPO_ROOT + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("RAY_ADDRESS", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", ONE_CPU_PROLOGUE + script, *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        cwd=REPO_ROOT,
+        env=env,
+        start_new_session=True,  # own pgid: a timeout reaps its Ray daemons
+    )
+    try:
+        out, err = proc.communicate(timeout=timeout_s)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"num_cpus=1 {what} did not finish in {timeout_s} s")
+    assert proc.returncode == 0, err[-2000:]
+    return out
