@@ -430,14 +430,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # locally oracle-green at two sfs — slot goes to the new n-gram
         # diversity census (never driver-verified)
         "ngram_diversity",
-        # r5 session-3 additions (never driver-verified, all oracle-checked;
-        # preflighted at sf0.01 at BOTH 8 and 32 CPUs before rotating in)
-        "tpch_q4",
-        "tpch_q7",
-        "tpch_q10",
-        "tpch_q13",
-        "tpch_q15",
-        "tpch_q19",
+        # the six queries without a CORRECTNESS row yet take the slots of
+        # six TPC-H shapes added in r5 (tpch_q4/q7/q10/q13/q15/q19: green
+        # in CORRECTNESS_r05, untouched since; they stay in the dict and
+        # local-oracle-green)
+        "cdc_shared_content",
+        "cdc_bursts",
+        "cdc_ownership_incremental",
+        "text_dup_lines",
+        "table_profile",
+        "fk_orphans",
         # multimodal plumbing: all three got driver rows in r04
         # (rows-only — no oracle by nature); the family keeps its local
         # pytest + rows-only history, its window slot goes to the new

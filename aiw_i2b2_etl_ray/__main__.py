@@ -60,9 +60,8 @@ def main(argv: list[str] | None = None) -> int:
         help="'module:function' run after all outputs commit (EK_POST_HOOK)",
     )
 
-    cp = sub.add_parser("compact", help="fold hot-key LSM runs into partitions")
+    cp = sub.add_parser("compact", help="consolidate hot-key LSM runs into one file")
     cp.add_argument("--out", required=True)
-    cp.add_argument("--num-partitions", type=int, default=256)
 
     st = sub.add_parser("status", help="print the checkpoint manifest")
     st.add_argument("--out", required=True)
@@ -162,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     elif args.cmd == "compact":
         from .stages.merge import compact_path_dim
 
-        moved = compact_path_dim(args.out, args.num_partitions)
+        moved = compact_path_dim(args.out)
         print(json.dumps({"keys_rehomed": moved}))
     elif args.cmd == "status":
         from .state.manifest import read_manifest

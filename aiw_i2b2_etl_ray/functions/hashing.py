@@ -2,10 +2,10 @@
 
 - ``sha256_hex`` implements the per-row content invariant required by
   BASELINE.json (`content sha256 equality`).
-- ``bucket_hash`` is the shuffle partitioner: a stable 64-bit xxhash of the
-  key columns (via polars, vectorized) reduced mod num_buckets.  Stability
-  matters only within one engine version (recorded in the manifest); the
-  correctness oracle never depends on partition placement.
+- ``bucket_hash`` is the shuffle partitioner: polars' xxhash64 of
+  :func:`key_expr` mod num_buckets.  Placement that must outlast a process
+  (the replay's partitions) goes through ``stages.routing``, whose
+  ``ROUTING_ID`` checks that the hash still routes as it did.
 """
 
 from __future__ import annotations
@@ -98,19 +98,18 @@ def bin_to_hex(col) -> pa.Array:
     )
 
 
+def key_expr(cols: list[str]) -> pl.Expr:
+    """The multi-column key as one string: values joined by ``"\x1f"``
+    (a separator '/'-bearing paths never contain), nulls as ``"\x00"``."""
+    return pl.concat_str([pl.col(c).fill_null("\x00") for c in cols], separator="\x1f")
+
+
 def bucket_hash(
     t: pa.Table, cols: list[str], num_buckets: int, *, seed: int = 0
 ) -> pa.Array:
-    """Stable vectorized hash of ``cols`` mod ``num_buckets`` -> int32.
-
-    Uses polars' xxhash64 on the concatenated key (separator chosen to be
-    collision-safe for '/'-bearing paths)."""
+    """polars' xxhash64 of :func:`key_expr` mod ``num_buckets`` -> int32."""
     df = pl.from_arrow(t.select(cols))
-    h = df.select(
-        pl.concat_str([pl.col(c).fill_null("\x00") for c in cols], separator="\x1f")
-        .hash(seed=seed)
-        .alias("h")
-    )["h"].to_numpy()
+    h = df.select(key_expr(cols).hash(seed=seed))[:, 0].to_numpy()
     return pa.array((h % np.uint64(num_buckets)).astype(np.int32))
 
 

@@ -31,6 +31,7 @@ import ray.data as rd
 from ..config import ReplaySpec, out_paths
 from ..sources.changes import read_changes
 from ..stages import dims as dims_mod
+from ..stages import routing
 from ..stages.merge import PartitionMerger, reduce_hot_rows
 from ..stages.normalize import Normalizer
 from ..state import manifest as mf
@@ -74,9 +75,7 @@ def find_hot_keys(ds: rd.Dataset, threshold: int) -> set[str]:
         .agg(pl.col("n").sum())
         .filter(pl.col("n") >= max(1, threshold // 2))
     )
-    return {
-        f"{r}\x1f{p}" for r, p in zip(merged["repo"].to_list(), merged["path"].to_list())
-    }
+    return set(routing.encode_keys(merged))
 
 
 def find_hot_keys_local(files: list[str], threshold: int) -> set[str]:
@@ -90,7 +89,7 @@ def find_hot_keys_local(files: list[str], threshold: int) -> set[str]:
     con = duckdb.connect()
     # file list + threshold go through parameter binding, never string
     # interpolation — a quote in a file name must not break the query
-    rows = con.execute(
+    keys = con.execute(
         """
         SELECT repo, path FROM read_parquet($files, union_by_name=true)
         WHERE repo IS NOT NULL AND path IS NOT NULL
@@ -98,9 +97,9 @@ def find_hot_keys_local(files: list[str], threshold: int) -> set[str]:
         HAVING COUNT(*) >= $thr
         """,
         {"files": list(files), "thr": max(1, threshold // 2)},
-    ).fetchall()
+    ).arrow()
     con.close()
-    return {f"{r}\x1f{p}" for r, p in rows}
+    return set(routing.encode_keys(keys))
 
 
 def normalized(
@@ -275,32 +274,7 @@ def _replay_impl(
     # partition whose watermark doesn't cover it and re-applies).
     job = mf.read_job_manifest(spec.out_dir)
     if spec.mode == "update" and job is not None:
-        if (
-            job["num_partitions"] != spec.num_partitions
-            or job["salt_buckets"] != spec.salt_buckets
-        ):
-            raise ValueError(
-                "update-mode partitioning mismatch: job manifest has "
-                f"num_partitions={job['num_partitions']}, salt_buckets="
-                f"{job['salt_buckets']}; spec has {spec.num_partitions}/"
-                f"{spec.salt_buckets}. Replay with matching parameters or "
-                "rebuild in replace mode."
-            )
-        # Event->partition routing uses polars' hash(), which is NOT
-        # guaranteed stable across polars versions.  After an upgrade a
-        # redelivered event could silently land on a partition whose
-        # watermark doesn't cover it and re-apply — so refuse to update a
-        # job built under a different polars.
-        import polars as _pl
-
-        job_plv = job.get("polars_version")
-        if job_plv is not None and job_plv != _pl.__version__:
-            raise ValueError(
-                f"update-mode hash-provider mismatch: job was built with "
-                f"polars {job_plv}, this process runs {_pl.__version__}; "
-                "partition routing is not guaranteed stable across polars "
-                "versions. Rebuild in replace mode."
-            )
+        routing.check_job(job, spec.num_partitions, spec.salt_buckets)
         persisted_hot = set(job.get("hot_keys", []))
         if persisted_hot:
             hot_keys = (hot_keys or set()) | persisted_hot
@@ -344,7 +318,7 @@ def _replay_impl(
                 os.path.join(paths["path_dim"], f"hot-transition-{run_id}.parquet"),
             )
             _bump_salted_watermarks(
-                spec.out_dir, extracted, spec.num_partitions, spec.salt_buckets, run_id
+                spec.out_dir, extracted, spec.num_partitions, spec.salt_buckets
             )
             remove_keys_from_parts(spec.out_dir, newly_hot, spec.num_partitions)
 
@@ -380,6 +354,7 @@ def _replay_impl(
         merge_policy=spec.merge_policy,
         modifier_names=tuple(s.name for s in modifier_specs),
         state_cap_rows=spec.state_cap_rows,
+        num_partitions=spec.num_partitions,
     )
     hot_rows_ds = merged_groups(norm, merger_kwargs)
 
@@ -423,8 +398,6 @@ def _replay_impl(
             mod_t, os.path.join(paths["modifier_dim"], "modifier_dim.parquet")
         )
 
-    import polars as _pl
-
     from .. import __version__ as _engine_version
 
     mf.write_job_manifest(
@@ -435,8 +408,8 @@ def _replay_impl(
             "hot_keys": sorted(hot_keys or ()),
             "merge_policy": spec.merge_policy,
             "schema_version": spec.schema_version,
-            # routing-stability provenance (update runs refuse a mismatch)
-            "polars_version": _pl.__version__,
+            # update runs refuse state routed differently (routing.check_job)
+            "routing_id": routing.ROUTING_ID,
             "engine_version": _engine_version,
         },
     )

@@ -56,7 +56,7 @@ def post_compact(spec, run_id: str, summary: dict) -> dict:
     'rebuild indexes after load' payload — stages.merge.compact_path_dim)."""
     from ..stages.merge import compact_path_dim
 
-    n = compact_path_dim(spec.out_dir, spec.num_partitions)
+    n = compact_path_dim(spec.out_dir)
     return {"hot_keys_compacted": n}
 
 

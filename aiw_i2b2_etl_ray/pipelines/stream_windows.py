@@ -6,7 +6,8 @@ module maintains *additive* state: per-(repo, seq-window) change counts
 folded into parquet-backed partitions across any number of update runs.
 The exactly-once discipline is the same one the merge proved out:
 
-* events route to a partition by the stable key hash (``bucket_hash``),
+* events route to a partition by the repo's ``bucket_hash``; a fold whose
+  routing differs from the ``_window_manifest/job.json`` record is refused,
 * each partition records a commit_seq watermark; an update run filters
   its input to ``commit_seq > watermark`` BEFORE adding partial counts,
   so redelivered rows can never double-count,
@@ -41,6 +42,7 @@ import ray.data as rd
 
 from ..functions.hashing import bucket_hash
 from ..sources.changes import read_changes
+from ..stages import routing
 from ..stages.merge import _atomic_json, _atomic_write
 from ..util import worker_runtime_env
 
@@ -88,17 +90,12 @@ def update_windows(
     input slice leaves the state unchanged for already-covered seqs."""
     # stable-routing invariant (same rule as the merge's job manifest):
     # watermarks are per-PARTITION, so the event->partition mapping must
-    # never change across folds — a different num_partitions re-routes
-    # rows past foreign watermarks and double-counts.
+    # never change across folds — a different num_partitions or hash
+    # re-routes rows past foreign watermarks and double-counts.
     jm_path = os.path.join(out_dir, "_window_manifest", "job.json")
     if os.path.exists(jm_path):
         with open(jm_path) as fh:
-            jm = json.load(fh)
-        if jm["num_partitions"] != num_partitions:
-            raise ValueError(
-                f"window state at {out_dir} was built with num_partitions="
-                f"{jm['num_partitions']}; refusing to fold with {num_partitions}"
-            )
+            routing.check_job(json.load(fh), num_partitions)
     changes = (
         read_changes(input_path, with_content=False)
         if isinstance(input_path, str)
@@ -161,7 +158,7 @@ def update_windows(
 
     os.makedirs(os.path.join(out_dir, "window_counts"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "_window_manifest"), exist_ok=True)
-    _atomic_json({"num_partitions": num_partitions}, jm_path)
+    _atomic_json({"num_partitions": num_partitions, "routing_id": routing.ROUTING_ID}, jm_path)
     summary = (
         routed.groupby("_pid")
         .map_groups(fold_partition, batch_format="pyarrow", **worker_runtime_env())

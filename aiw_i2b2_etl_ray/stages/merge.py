@@ -51,6 +51,7 @@ import pyarrow.parquet as pq
 
 from .. import __version__ as _ENGINE_VERSION
 from ..schemas import ARCHIVE, CHANGE_FACT, PATH_DIM, REJECTED, ensure_columns
+from . import routing
 
 _MERGED_COLS = [
     "repo",
@@ -69,26 +70,6 @@ def _atomic_write(table: pa.Table, path: str) -> None:
     tmp = f"{path}.tmp-{uuid.uuid4().hex[:8]}"
     pq.write_table(table, tmp)
     os.replace(tmp, path)
-
-
-def _key_slice_ids(t: pa.Table, n_slices: int):
-    """Deterministic key-hash slice id per row (numpy array): the
-    bounded-state split — all rows of one (repo, path) land in one slice."""
-    import numpy as np
-
-    kh = (
-        pl.from_arrow(t.select(["repo", "path"]))
-        .select(
-            pl.concat_str(
-                [pl.col("repo").fill_null("\x00"), pl.col("path").fill_null("\x00")],
-                separator="\x1f",
-            )
-            .hash(seed=7)
-            .alias("kh")
-        )["kh"]
-        .to_numpy()
-    )
-    return (kh % np.uint64(n_slices)).astype(np.int64)
 
 
 class _StreamingWriter:
@@ -197,6 +178,9 @@ class PartitionMerger:
                        rows (PATH_DIM schema) for the driver's final reduce.
         "path_dim"   — pure: return every converged path_dim row.
         "fact"       — pure: return applied change_fact rows.
+
+    ``num_partitions`` (the replay's partition count) keeps the key-hash
+    slices of a partition above ``state_cap_rows`` balanced.
     """
 
     def __init__(
@@ -210,6 +194,7 @@ class PartitionMerger:
         merge_policy: str = "last_writer_wins",
         modifier_names: tuple = (),
         state_cap_rows: int | None = None,
+        num_partitions: int = 1,
     ):
         self.emit = emit
         self.out_dirs = out_dirs or {}
@@ -218,6 +203,7 @@ class PartitionMerger:
         self.schema_version = schema_version
         self.modifier_names = tuple(modifier_names)
         self.state_cap_rows = state_cap_rows
+        self.num_partitions = num_partitions
         if merge_policy not in ("last_writer_wins", "first_writer_wins"):
             raise ValueError(f"unknown merge_policy: {merge_policy}")
         self.merge_policy = merge_policy
@@ -271,7 +257,8 @@ class PartitionMerger:
                     # the prior (re-read per slice trades IO for O(cap)
                     # memory; keys never cross slices by construction)
                     s_i, s_n = slice_spec
-                    mask = _key_slice_ids(prior_raw, s_n) == s_i
+                    kh = routing.key_hash(prior_raw)
+                    mask = routing.slice_ids(kh, self.num_partitions, s_n) == s_i
                     prior_raw = prior_raw.filter(pa.array(mask))
                 prior = _state_to_events(prior_raw, self.modifier_names)
 
@@ -299,25 +286,15 @@ class PartitionMerger:
         )
         path_dim = _path_dim_from_last(last)
         hot_mask = None
-        if "is_hot" in sub.column_names and pc.any(
-            pc.coalesce(sub["is_hot"], False)
-        ).as_py():
-            # keys that arrived salted: their winners go to the driver reduce
-            hot_keys = pl.from_arrow(
-                sub.filter(pc.coalesce(sub["is_hot"], False)).select(["repo", "path"])
-            ).unique()
-            pd_df = pl.from_arrow(path_dim)
-            hot_mask = (
-                pd_df.select(
-                    pl.concat_str([pl.col("repo"), pl.col("path")], separator="\x1f").alias("k")
-                )["k"]
-                .is_in(
-                    hot_keys.select(
-                        pl.concat_str([pl.col("repo"), pl.col("path")], separator="\x1f").alias("k")
-                    )["k"]
+        if "is_hot" in sub.column_names:
+            arrived_hot = pc.coalesce(sub["is_hot"], False)
+            if pc.any(arrived_hot).as_py():
+                # keys that arrived salted: their winners go to the driver reduce
+                hot_mask = pa.array(
+                    routing.hot_mask(
+                        path_dim, routing.encode_keys(sub.filter(arrived_hot))
+                    )
                 )
-                .to_arrow()
-            )
         if hot_mask is not None:
             hot_rows = path_dim.filter(hot_mask)
             path_dim = path_dim.filter(pc.invert(hot_mask))
@@ -402,7 +379,9 @@ class PartitionMerger:
                 ARCHIVE,
             )
 
-        slice_ids = _key_slice_ids(g, n_slices) if n_slices > 1 else None
+        slice_ids = None
+        if n_slices > 1:  # all rows of a key land in one slice
+            slice_ids = routing.slice_ids(routing.key_hash(g), self.num_partitions, n_slices)
         hot_parts, partial_frames = [], []
         totals = dict(applied=0, dups=0, conflicts=0, rejected=0, wm=-1)
         prior_rej = (
@@ -598,10 +577,7 @@ class PartitionMerger:
                 "rows_rejected": prev.get("rows_rejected", 0) + n_rejected,
                 "schema_version": self.schema_version,
                 "run_id": self.run_id,
-                # provenance: partition hashes must be recomputed identically
-                # on resume, so record the hash provider's version
                 "engine_version": _ENGINE_VERSION,
-                "polars_version": pl.__version__,
             },
             mpath,
         )
@@ -638,7 +614,7 @@ def reduce_hot_rows(hot: pa.Table) -> pa.Table:
     return ensure_columns(df.to_arrow(), PATH_DIM)
 
 
-def compact_path_dim(out_dir: str, num_partitions: int | None = None) -> int:
+def compact_path_dim(out_dir: str) -> int:
     """LSM compaction: consolidate all hot-run files into ONE LWW-reduced
     hot file.  Returns the number of surviving hot keys.
 
@@ -649,8 +625,7 @@ def compact_path_dim(out_dir: str, num_partitions: int | None = None) -> int:
     once salted (its event->partition routing is watermark-committed).
     Re-homing would put hot-key state back into partition files while
     future events still route salted — double-counting dimensions and
-    splitting state.  ``num_partitions`` is accepted for CLI compatibility
-    but unused."""
+    splitting state."""
     import glob
 
     hot_files = sorted(glob.glob(os.path.join(out_dir, "path_dim", "hot-*.parquet")))
@@ -665,7 +640,7 @@ def compact_path_dim(out_dir: str, num_partitions: int | None = None) -> int:
 
 
 def _bump_salted_watermarks(
-    out_dir: str, extracted: pa.Table, num_partitions: int, salt_buckets: int, run_id: str
+    out_dir: str, extracted: pa.Table, num_partitions: int, salt_buckets: int
 ) -> None:
     """For each newly-hot key, raise the watermark of every salt bucket the
     key can route to, up to the key's expunged last_commit_seq: a
@@ -673,29 +648,13 @@ def _bump_salted_watermarks(
     bump would land on a bucket whose watermark doesn't cover it and
     re-apply.  Safe because commit_seq is globally monotonic in the log —
     genuinely new events always exceed any previously applied seq."""
-    import json as _json
-
-    import numpy as np
-    import polars as _pl
-
-    from ..stages.normalize import _SALT_PRIME
-
-    df = _pl.from_arrow(extracted).select(
-        _pl.concat_str(
-            [_pl.col("repo").fill_null("\x00"), _pl.col("path").fill_null("\x00")],
-            separator="\x1f",
-        )
-        .hash(seed=0)
-        .alias("kh"),
-        _pl.col("last_commit_seq"),
+    pids = routing.salted_pids(
+        routing.encode_keys(extracted), num_partitions, salt_buckets
     )
     bumps: dict[int, int] = {}
-    P = np.uint64(num_partitions)
-    with np.errstate(over="ignore"):  # uint64 wrap-around is the hash math
-        for kh, seq in zip(df["kh"].to_numpy(), df["last_commit_seq"].to_numpy()):
-            for s_i in range(salt_buckets):
-                pid = int((np.uint64(kh) + np.uint64(s_i) * _SALT_PRIME) % P)
-                bumps[pid] = max(bumps.get(pid, -1), int(seq))
+    for row, seq in zip(pids.tolist(), extracted["last_commit_seq"].to_pylist()):
+        for pid in row:
+            bumps[pid] = max(bumps.get(pid, -1), int(seq))
     for pid, seq in bumps.items():
         mpath = os.path.join(out_dir, "_manifest", f"part-{pid:05d}.json")
         # fresh records carry run_id=None, NOT the current run's id: the
@@ -713,23 +672,22 @@ def _bump_salted_watermarks(
         }
         if os.path.exists(mpath):
             with open(mpath) as f:
-                rec = _json.load(f)
+                rec = json.load(f)
         if rec.get("watermark_seq", -1) < seq:
             rec["watermark_seq"] = seq
             _atomic_json(rec, mpath)
 
 
-def _hot_key_pids(keys: set[str], num_partitions: int) -> list[int]:
-    key_rows = [k.split("\x1f", 1) for k in keys]
-    kt = pa.table(
-        {
-            "repo": pa.array([r for r, _ in key_rows]),
-            "path": pa.array([p for _, p in key_rows]),
-        }
-    )
-    from ..functions.hashing import bucket_hash
-
-    return sorted(set(bucket_hash(kt, ["repo", "path"], num_partitions).to_pylist()))
+def _home_parts(out_dir: str, keys: set[str], num_partitions: int):
+    """``(pid, path, table, mask of the keys' rows)`` of each canonical
+    partition file holding any of ``keys``."""
+    for pid in sorted(set(routing.home_pids(keys, num_partitions).tolist())):
+        part = os.path.join(out_dir, "path_dim", f"part-{pid:05d}.parquet")
+        if os.path.exists(part):
+            t = ensure_columns(pq.read_table(part), PATH_DIM)
+            hit = routing.hot_mask(t, keys)
+            if hit.any():
+                yield pid, part, t, hit
 
 
 def extract_keys_from_parts(out_dir: str, keys: set[str], num_partitions: int) -> pa.Table:
@@ -741,24 +699,9 @@ def extract_keys_from_parts(out_dir: str, keys: set[str], num_partitions: int) -
     extract-and-rewrite-in-one-pass version lost it forever on a crash
     mid-loop (the rewritten parts no longer had it, the return value was
     only in driver memory)."""
-    if not keys:
-        return PATH_DIM.empty_table()
-    extracted = []
-    key_set = set(keys)
-    for pid in _hot_key_pids(keys, num_partitions):
-        part = os.path.join(out_dir, "path_dim", f"part-{pid:05d}.parquet")
-        if not os.path.exists(part):
-            continue
-        t = ensure_columns(pq.read_table(part), PATH_DIM)
-        df = pl.from_arrow(t).with_columns(
-            pl.concat_str([pl.col("repo"), pl.col("path")], separator="\x1f").alias("_k")
-        )
-        hit = df.filter(pl.col("_k").is_in(list(key_set)))
-        if len(hit):
-            extracted.append(ensure_columns(hit.drop("_k").to_arrow(), PATH_DIM))
-    if not extracted:
-        return PATH_DIM.empty_table()
-    return pa.concat_tables(extracted)
+    parts = _home_parts(out_dir, keys, num_partitions)
+    extracted = [t.filter(pa.array(hit)) for _, _, t, hit in parts]
+    return pa.concat_tables(extracted) if extracted else PATH_DIM.empty_table()
 
 
 def remove_keys_from_parts(out_dir: str, keys: set[str], num_partitions: int) -> None:
@@ -768,26 +711,14 @@ def remove_keys_from_parts(out_dir: str, keys: set[str], num_partitions: int) ->
     disk (hot-transition file): a crash mid-rewrite then leaves some keys
     in both places, which the LWW merge-on-read folds and a resumed run's
     re-extract + re-remove repairs."""
-    if not keys:
-        return
-    key_set = set(keys)
-    for pid in _hot_key_pids(keys, num_partitions):
-        part = os.path.join(out_dir, "path_dim", f"part-{pid:05d}.parquet")
-        if not os.path.exists(part):
-            continue
-        t = ensure_columns(pq.read_table(part), PATH_DIM)
-        df = pl.from_arrow(t).with_columns(
-            pl.concat_str([pl.col("repo"), pl.col("path")], separator="\x1f").alias("_k")
-        )
-        hit = df.filter(pl.col("_k").is_in(list(key_set)))
-        if not len(hit):
-            continue
-        keep = df.filter(~pl.col("_k").is_in(list(key_set))).drop("_k")
-        _atomic_write(ensure_columns(keep.to_arrow(), PATH_DIM), part)
+    for pid, part, t, hit in _home_parts(out_dir, keys, num_partitions):
+        keep = t.filter(pa.array(~hit))
+        _atomic_write(keep, part)
         # refresh this partition's repo_live snapshot (now excluding the keys)
         dp_path = os.path.join(out_dir, "_dimpart", f"part-{pid:05d}.parquet")
         fresh_live = (
-            keep.filter(pl.col("delete_date").is_null())
+            pl.from_arrow(keep)
+            .filter(pl.col("delete_date").is_null())
             .group_by("repo")
             .agg(pl.len().cast(pl.Int64).alias("live"))
             .select(

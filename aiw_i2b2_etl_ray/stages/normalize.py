@@ -11,25 +11,21 @@ re-expressed as ONE vectorized, stateless ``map_batches`` function:
 - content digesting: ``content`` (arbitrarily large payload) is reduced to
   ``(content_sha256, content_len)`` BEFORE the all-to-all shuffle so the
   exchange moves ~100 B/row, not the payload (SURVEY.md §7.5 item 5);
-- partition key: ``pkey = xxhash64(repo, path) % num_partitions``, with
-  salted sub-partitioning for hot keys: ``hash(commit) % salt_buckets``
-  picks the sub-bucket, preserving exactly-once (a redelivered change-id
-  lands in the same bucket) while spreading a mega-churned key across
-  ``salt_buckets`` merge tasks.  Hot-key path_dim rows are re-reduced
-  per-key after the merge (stages.merge).
+- partition key: ``pkey`` and ``is_hot`` come from ``stages.routing.route``
+  — the key's home partition, or for a hot key a salt bucket its commit
+  picks, so a redelivered change-id lands where it landed before while a
+  mega-churned key spreads across ``salt_buckets`` merge tasks.  Hot-key
+  path_dim rows are re-reduced per-key after the merge (stages.merge).
 """
 
 from __future__ import annotations
 
-import numpy as np
-import polars as pl
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import sha256_bin
 from ..schemas import SHUFFLE_COLUMNS
-
-_SALT_PRIME = np.uint64(0x9E3779B97F4A7C15)
+from . import routing
 
 #: tolerant op-token canonicalization for real-world change logs: the
 #: engine's contract is I/U/D (FIXTURES.md), but binlog/WAL tails emit
@@ -67,11 +63,11 @@ class Normalizer:
         hot_keys_ref=None,
         modifier_specs: tuple = (),
     ):
-        self.num_partitions = np.uint64(num_partitions)
-        self.salt_buckets = np.uint64(max(salt_buckets, 1))
+        self.num_partitions = num_partitions
+        self.salt_buckets = salt_buckets
         self._hot_ref = hot_keys_ref
         self._hot_loaded = hot_keys_ref is None
-        self.hot_keys = None  # set[str] of "repo\x1fpath"
+        self.hot_keys = None  # set of routing-encoded keys
         # modifier extraction happens HERE, pre-shuffle, so only the small
         # extracted value (not the payload it derives from) crosses the
         # exchange — same digest-before-shuffle rule as content_sha256
@@ -81,8 +77,7 @@ class Normalizer:
         if not self._hot_loaded:
             import ray
 
-            hot = ray.get(self._hot_ref)
-            self.hot_keys = hot if hot else None
+            self.hot_keys = ray.get(self._hot_ref)
             self._hot_loaded = True
 
     def __call__(self, t: pa.Table) -> pa.Table:
@@ -119,32 +114,7 @@ class Normalizer:
             sha = t["content_sha256"].combine_chunks()
             clen = t["content_len"]
 
-        # --- partition key (polars xxhash, vectorized) ---------------------
-        df = pl.from_arrow(t.select(["repo", "path", "commit"]))
-        kh = df.select(
-            pl.concat_str(
-                [pl.col("repo").fill_null("\x00"), pl.col("path").fill_null("\x00")],
-                separator="\x1f",
-            )
-            .hash(seed=0)
-            .alias("kh"),
-            pl.col("commit").fill_null("\x00").hash(seed=1).alias("ch"),
-        )
-        key_hash = kh["kh"].to_numpy()
-        pkey = key_hash % self.num_partitions
-        is_hot = None
-        if self.hot_keys is not None:
-            keys = df.select(
-                pl.concat_str(
-                    [pl.col("repo").fill_null("\x00"), pl.col("path").fill_null("\x00")],
-                    separator="\x1f",
-                ).alias("k")
-            )["k"]
-            is_hot = keys.is_in(list(self.hot_keys)).to_numpy()
-            if is_hot.any():
-                salt = (kh["ch"].to_numpy() % self.salt_buckets) * _SALT_PRIME
-                salted = (key_hash + salt) % self.num_partitions
-                pkey = np.where(is_hot, salted, pkey)
+        pkey, is_hot = routing.route(t, self.num_partitions, self.salt_buckets, self.hot_keys)
 
         out = {
             "repo": repo,
@@ -156,7 +126,7 @@ class Normalizer:
             "content_sha256": sha,
             "content_len": clen,
             "size": t["size"] if "size" in t.column_names else pa.nulls(n, pa.int64()),
-            "pkey": pa.array(pkey.astype(np.int32)),
+            "pkey": pa.array(pkey),
         }
         assert list(out) == SHUFFLE_COLUMNS  # schema drift guard
         for spec in self.modifier_specs:
@@ -164,8 +134,6 @@ class Normalizer:
             if not isinstance(val, (pa.Array, pa.ChunkedArray)):
                 val = pa.array(val, pa.string())
             out[f"mod__{spec.name}"] = pc.cast(val, pa.string())
-        out["is_hot"] = pa.array(
-            is_hot if is_hot is not None else np.zeros(n, dtype=bool)
-        )
+        out["is_hot"] = pa.array(is_hot)
         out["reject_reason"] = reject_reason
         return pa.table(out)

@@ -243,7 +243,7 @@ def test_hot_transition_survives_crash_before_part_rewrite(tmp_path):
     _atomic_write(
         extracted, os.path.join(spec.out_dir, "path_dim", "hot-transition-crash.parquet")
     )
-    _bump_salted_watermarks(spec.out_dir, extracted, 8, 4, "crash")
+    _bump_salted_watermarks(spec.out_dir, extracted, 8, 4)
     # state now exists in BOTH the canonical part and the hot file; the
     # merge-on-read must not double it
     assert len(load_path_dim(spec.out_dir).filter(

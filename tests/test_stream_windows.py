@@ -85,6 +85,51 @@ def test_partition_count_change_is_rejected(log_dir, tmp_path, ray_session):
     assert s["rows_folded"] > 0
 
 
+def test_routing_change_is_rejected(log_dir, tmp_path, ray_session):
+    """State routed under another hash (a tampered routing id stands in for
+    a polars upgrade that moved rows) must not fold: its rows would land
+    past foreign watermarks."""
+    import json
+    import os
+
+    full = read_changes_table(log_dir)
+    out = str(tmp_path / "rid")
+    update_windows(_slice_ds(full, 0, 1000), out, num_partitions=4)
+    jm_path = os.path.join(out, "_window_manifest", "job.json")
+    with open(jm_path) as f:
+        jm = json.load(f)
+    jm["routing_id"] = "0" * 16
+    with open(jm_path, "w") as f:
+        json.dump(jm, f)
+    before = load_windows(out)
+    with pytest.raises(ValueError, match="routing"):
+        update_windows(_slice_ds(full, 1000, 2000), out, num_partitions=4)
+    assert_table_eq(load_windows(out), before, ["repo", "window_id"])
+
+
+def test_legacy_job_manifest_folds_and_gains_routing_id(log_dir, tmp_path, ray_session):
+    """State written before routing ids (job.json holds only
+    num_partitions) still folds, and the fold records the id."""
+    import json
+    import os
+
+    from aiw_i2b2_etl_ray.stages import routing
+
+    full = read_changes_table(log_dir)
+    out = str(tmp_path / "legacy")
+    update_windows(_slice_ds(full, 0, 1000), out, num_partitions=4)
+    jm_path = os.path.join(out, "_window_manifest", "job.json")
+    with open(jm_path, "w") as f:
+        json.dump({"num_partitions": 4}, f)
+    s = update_windows(_slice_ds(full, 800, 2000), out, num_partitions=4)
+    assert s["rows_folded"] > 0
+    with open(jm_path) as f:
+        assert json.load(f) == {"num_partitions": 4, "routing_id": routing.ROUTING_ID}
+    one = str(tmp_path / "one")
+    update_windows(_slice_ds(full, 0, 2000), one, num_partitions=4)
+    assert_table_eq(load_windows(out), load_windows(one), ["repo", "window_id"])
+
+
 def test_crash_between_state_and_manifest_does_not_double_count(
     log_dir, tmp_path, ray_session
 ):
