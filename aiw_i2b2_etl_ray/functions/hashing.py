@@ -5,7 +5,7 @@
 - ``bucket_hash`` is the shuffle partitioner: polars' xxhash64 of
   :func:`key_expr` mod num_buckets.  Placement that must outlast a process
   (the replay's partitions) goes through ``stages.routing``, whose
-  ``ROUTING_ID`` checks that the hash still routes as it did.
+  ``routing.routing_id()`` checks that the hash still routes as it did.
 """
 
 from __future__ import annotations

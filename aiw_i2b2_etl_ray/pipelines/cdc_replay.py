@@ -354,7 +354,6 @@ def _replay_impl(
         merge_policy=spec.merge_policy,
         modifier_names=tuple(s.name for s in modifier_specs),
         state_cap_rows=spec.state_cap_rows,
-        num_partitions=spec.num_partitions,
     )
     hot_rows_ds = merged_groups(norm, merger_kwargs)
 
@@ -409,7 +408,7 @@ def _replay_impl(
             "merge_policy": spec.merge_policy,
             "schema_version": spec.schema_version,
             # update runs refuse state routed differently (routing.check_job)
-            "routing_id": routing.ROUTING_ID,
+            "routing_id": routing.routing_id(),
             "engine_version": _engine_version,
         },
     )

@@ -6,7 +6,7 @@ module maintains *additive* state: per-(repo, seq-window) change counts
 folded into parquet-backed partitions across any number of update runs.
 The exactly-once discipline is the same one the merge proved out:
 
-* events route to a partition by the repo's ``bucket_hash``; a fold whose
+* events route to a partition by ``routing.repo_pids``; a fold whose
   routing differs from the ``_window_manifest/job.json`` record is refused,
 * each partition records a commit_seq watermark; an update run filters
   its input to ``commit_seq > watermark`` BEFORE adding partial counts,
@@ -40,7 +40,6 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data as rd
 
-from ..functions.hashing import bucket_hash
 from ..sources.changes import read_changes
 from ..stages import routing
 from ..stages.merge import _atomic_json, _atomic_write
@@ -104,7 +103,7 @@ def update_windows(
 
     def route(t: pa.Table) -> pa.Table:
         t = t.select(["repo", "commit_seq"])
-        return t.append_column("_pid", bucket_hash(t, ["repo"], num_partitions))
+        return t.append_column("_pid", routing.repo_pids(t, num_partitions))
 
     routed = changes.map_batches(route, batch_format="pyarrow", **worker_runtime_env())
 
@@ -158,7 +157,7 @@ def update_windows(
 
     os.makedirs(os.path.join(out_dir, "window_counts"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "_window_manifest"), exist_ok=True)
-    _atomic_json({"num_partitions": num_partitions, "routing_id": routing.ROUTING_ID}, jm_path)
+    _atomic_json({"num_partitions": num_partitions, "routing_id": routing.routing_id()}, jm_path)
     summary = (
         routed.groupby("_pid")
         .map_groups(fold_partition, batch_format="pyarrow", **worker_runtime_env())

@@ -178,9 +178,6 @@ class PartitionMerger:
                        rows (PATH_DIM schema) for the driver's final reduce.
         "path_dim"   — pure: return every converged path_dim row.
         "fact"       — pure: return applied change_fact rows.
-
-    ``num_partitions`` (the replay's partition count) keeps the key-hash
-    slices of a partition above ``state_cap_rows`` balanced.
     """
 
     def __init__(
@@ -194,7 +191,6 @@ class PartitionMerger:
         merge_policy: str = "last_writer_wins",
         modifier_names: tuple = (),
         state_cap_rows: int | None = None,
-        num_partitions: int = 1,
     ):
         self.emit = emit
         self.out_dirs = out_dirs or {}
@@ -203,7 +199,6 @@ class PartitionMerger:
         self.schema_version = schema_version
         self.modifier_names = tuple(modifier_names)
         self.state_cap_rows = state_cap_rows
-        self.num_partitions = num_partitions
         if merge_policy not in ("last_writer_wins", "first_writer_wins"):
             raise ValueError(f"unknown merge_policy: {merge_policy}")
         self.merge_policy = merge_policy
@@ -257,8 +252,7 @@ class PartitionMerger:
                     # the prior (re-read per slice trades IO for O(cap)
                     # memory; keys never cross slices by construction)
                     s_i, s_n = slice_spec
-                    kh = routing.key_hash(prior_raw)
-                    mask = routing.slice_ids(kh, self.num_partitions, s_n) == s_i
+                    mask = routing.slice_ids(routing.key_hash(prior_raw), s_n) == s_i
                     prior_raw = prior_raw.filter(pa.array(mask))
                 prior = _state_to_events(prior_raw, self.modifier_names)
 
@@ -290,11 +284,8 @@ class PartitionMerger:
             arrived_hot = pc.coalesce(sub["is_hot"], False)
             if pc.any(arrived_hot).as_py():
                 # keys that arrived salted: their winners go to the driver reduce
-                hot_mask = pa.array(
-                    routing.hot_mask(
-                        path_dim, routing.encode_keys(sub.filter(arrived_hot))
-                    )
-                )
+                hot = pl.from_arrow(sub.filter(arrived_hot).select(["repo", "path"])).unique()
+                hot_mask = pa.array(routing.hot_mask(path_dim, routing.encode_keys(hot)))
         if hot_mask is not None:
             hot_rows = path_dim.filter(hot_mask)
             path_dim = path_dim.filter(pc.invert(hot_mask))
@@ -379,9 +370,7 @@ class PartitionMerger:
                 ARCHIVE,
             )
 
-        slice_ids = None
-        if n_slices > 1:  # all rows of a key land in one slice
-            slice_ids = routing.slice_ids(routing.key_hash(g), self.num_partitions, n_slices)
+        slice_ids = routing.slice_ids(routing.key_hash(g), n_slices) if n_slices > 1 else None
         hot_parts, partial_frames = [], []
         totals = dict(applied=0, dups=0, conflicts=0, rejected=0, wm=-1)
         prior_rej = (

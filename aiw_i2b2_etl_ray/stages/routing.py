@@ -7,8 +7,9 @@ polars' xxhash64 of that string (seed 0), and a cold row goes to
 ``kh % P``.  A hot key's row is salted, as in skewed hash joins, to
 ``(kh + (ch % S) * _SALT_PRIME) % P`` with ``ch`` its commit's hash: one
 change-id always lands in one bucket, and a churned key spreads over ``S``.
-polars does not promise a stable ``hash()``, so ``ROUTING_ID`` fingerprints
-:func:`route` on a fixed probe table; the job manifest records it and
+``stream_windows`` routes a repo to :func:`repo_pids`.  polars does not
+promise a stable ``hash()``, so :func:`routing_id` fingerprints both on a
+fixed probe table; the job manifest records it and
 :func:`check_job` refuses state that this process would route elsewhere.
 """
 
@@ -21,40 +22,41 @@ import numpy as np
 import polars as pl
 import pyarrow as pa
 
-from ..functions.hashing import key_expr
+from ..functions.hashing import bucket_hash, key_expr
 
 _KEY = key_expr(["repo", "path"])
 _SALT_PRIME = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _keys(t: pa.Table | pl.DataFrame) -> pl.Series:
+def encode_keys(t: pa.Table | pl.DataFrame) -> pl.Series:
+    """The encoded key of every row of ``t``."""
     df = t if isinstance(t, pl.DataFrame) else pl.from_arrow(t.select(["repo", "path"]))
     return df.select(_KEY).to_series()
 
 
-def encode_keys(t: pa.Table | pl.DataFrame) -> list[str]:
-    """The encoded key of every row of ``t``."""
-    return _keys(t).to_list()
+def _as_series(hot) -> pl.Series:
+    return hot if isinstance(hot, pl.Series) else pl.Series(list(hot), dtype=pl.String)
 
 
 def hot_mask(t: pa.Table | pl.DataFrame, hot) -> np.ndarray:
-    """Whether each row's key is in ``hot``, a collection of encoded keys."""
-    return _keys(t).is_in(list(hot)).to_numpy()
+    """Whether each row's key is in ``hot``, encoded keys (a ``pl.Series``
+    or any collection)."""
+    return encode_keys(t).is_in(_as_series(hot).implode()).to_numpy()
 
 
 def key_hash(t: pa.Table | pl.DataFrame) -> np.ndarray:
     """The uint64 ``kh`` of every row of ``t``."""
-    return _keys(t).hash(seed=0).to_numpy()
+    return encode_keys(t).hash(seed=0).to_numpy()
 
 
 def route(t: pa.Table, num_partitions: int, salt_buckets: int, hot=None):
     """``(pkey int32, is_hot bool)`` arrays for the rows of ``t``."""
-    keys = _keys(t)
+    keys = encode_keys(t)
     P = np.uint64(num_partitions)
     kh = keys.hash(seed=0).to_numpy()
     pkey, is_hot = kh % P, np.zeros(len(t), dtype=bool)
-    if hot:
-        is_hot = keys.is_in(list(hot)).to_numpy()
+    if hot is not None and len(hot):
+        is_hot = keys.is_in(_as_series(hot).implode()).to_numpy()
         if is_hot.any():  # the commit hash is only needed for hot rows
             ch = pl.from_arrow(t["commit"]).fill_null("\x00").hash(seed=1).to_numpy()
             salt = (ch % np.uint64(max(salt_buckets, 1))) * _SALT_PRIME
@@ -64,7 +66,7 @@ def route(t: pa.Table, num_partitions: int, salt_buckets: int, hot=None):
 
 def salted_pids(keys, num_partitions: int, salt_buckets: int) -> np.ndarray:
     """``(len(keys), salt_buckets)``: each encoded key's partition per salt bucket."""
-    kh = pl.Series(list(keys), dtype=pl.String).hash(seed=0).to_numpy()
+    kh = _as_series(keys).hash(seed=0).to_numpy()
     salt = np.arange(salt_buckets, dtype=np.uint64) * _SALT_PRIME
     return ((kh[:, None] + salt) % np.uint64(num_partitions)).astype(np.int64)
 
@@ -74,10 +76,16 @@ def home_pids(keys, num_partitions: int) -> np.ndarray:
     return salted_pids(keys, num_partitions, 1)[:, 0]
 
 
-def slice_ids(kh: np.ndarray, num_partitions: int, n_slices: int) -> np.ndarray:
-    """Bounded-state merge slice per key hash.  ``kh % P`` is the same for
-    every cold key of a partition, so the slice comes from the bits above."""
-    return ((kh // np.uint64(num_partitions)) % np.uint64(n_slices)).astype(np.int64)
+def repo_pids(t: pa.Table, num_partitions: int) -> pa.Array:
+    """Per-repo partitions (``stream_windows``): ``bucket_hash`` of ``repo``."""
+    return bucket_hash(t, ["repo"], num_partitions)
+
+
+def slice_ids(kh: np.ndarray, n_slices: int) -> np.ndarray:
+    """Bounded-state merge slice per key hash.  Every cold key of a
+    partition shares ``kh % P``, so the slice reads the upper 32 bits,
+    which are independent of it for any power-of-two ``P`` up to 2**32."""
+    return ((kh >> np.uint64(32)) % np.uint64(n_slices)).astype(np.int64)
 
 
 def probe_table() -> pa.Table:
@@ -92,19 +100,15 @@ def probe_table() -> pa.Table:
 
 
 @functools.cache
-def _routing_id() -> str:
+def routing_id() -> str:
+    """16-hex fingerprint of :func:`route` and :func:`repo_pids` on
+    :func:`probe_table`; computed on first call (a polars computation)."""
     t = probe_table()
     # every other key hot; a large prime P keeps most hash bits in pkey
-    pkey, is_hot = route(t, 2**31 - 1, 8, encode_keys(t)[::2])
-    return hashlib.sha256(pkey.tobytes() + is_hot.tobytes()).hexdigest()[:16]
-
-
-def __getattr__(name: str):
-    # ROUTING_ID is computed on first use: importing must not start polars'
-    # thread pool before an entry point has capped its size
-    if name == "ROUTING_ID":
-        return _routing_id()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    P = 2**31 - 1
+    pkey, is_hot = route(t, P, 8, encode_keys(t)[::2])
+    repo = repo_pids(t, P).to_numpy()
+    return hashlib.sha256(pkey.tobytes() + is_hot.tobytes() + repo.tobytes()).hexdigest()[:16]
 
 
 def check_job(job: dict, num_partitions: int, salt_buckets: int | None = None) -> None:
@@ -118,10 +122,10 @@ def check_job(job: dict, num_partitions: int, salt_buckets: int | None = None) -
                 f"refusing to fold or update with {v}. Rerun with matching parameters."
             )
     rid, built = job.get("routing_id"), job.get("polars_version")
-    if rid is not None and rid != _routing_id():
+    if rid is not None and rid != routing_id():
         raise ValueError(
             f"routing mismatch: state was routed with routing_id {rid}, this process "
-            f"routes with {_routing_id()}. Rebuild in replace mode."
+            f"routes with {routing_id()}. Rebuild in replace mode."
         )
     if rid is None and built is not None and built != pl.__version__:
         raise ValueError(

@@ -148,7 +148,7 @@ def test_update_on_legacy_manifest_matches_oracle(tmp_path):
     assert fact_rows == len(golden.change_fact)
     assert_table_eq(load_path_dim(spec_u.out_dir), golden.path_dim, ["repo", "path"])
     job = mf.read_job_manifest(spec_u.out_dir)
-    assert job["routing_id"] == routing.ROUTING_ID and "polars_version" not in job
+    assert job["routing_id"] == routing.routing_id() and "polars_version" not in job
 
 
 def test_null_commit_seq_rejected():

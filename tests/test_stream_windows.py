@@ -124,7 +124,7 @@ def test_legacy_job_manifest_folds_and_gains_routing_id(log_dir, tmp_path, ray_s
     s = update_windows(_slice_ds(full, 800, 2000), out, num_partitions=4)
     assert s["rows_folded"] > 0
     with open(jm_path) as f:
-        assert json.load(f) == {"num_partitions": 4, "routing_id": routing.ROUTING_ID}
+        assert json.load(f) == {"num_partitions": 4, "routing_id": routing.routing_id()}
     one = str(tmp_path / "one")
     update_windows(_slice_ds(full, 0, 2000), one, num_partitions=4)
     assert_table_eq(load_windows(out), load_windows(one), ["repo", "window_id"])
