@@ -12,8 +12,8 @@ Reference mapping (file:line cites refer to /root/reference):
 
 - staged-temp-table → stored-proc merge
   (dest/I2b2QueryResultsHandler.java:97-161, :508-686) becomes
-  ``stages.merge``: groupby-shuffle on a hash of ``(repo, path)`` followed
-  by a vectorized last-writer-wins merge per partition.
+  ``stages.merge``: a range shuffle on a hash of ``(repo, path)`` followed
+  by a vectorized last-writer-wins merge of each range's partitions.
 - dimension factories (dest/table/PatientDimensionFactory.java,
   VisitDimensionFactory.java, ProviderDimensionFactory.java) become
   ``stages.dims`` grouped reductions.

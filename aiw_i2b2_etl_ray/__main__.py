@@ -161,8 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     elif args.cmd == "compact":
         from .stages.merge import compact_path_dim
 
-        moved = compact_path_dim(args.out)
-        print(json.dumps({"keys_rehomed": moved}))
+        print(json.dumps({"hot_keys": compact_path_dim(args.out)}))
     elif args.cmd == "status":
         from .state.manifest import read_manifest
 

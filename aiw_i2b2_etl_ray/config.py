@@ -52,11 +52,13 @@ class ReplaySpec:
     """Everything a CDC replay run needs.
 
     Attributes:
-        num_partitions: hash partitions over ``(repo, path)``; one merge
-            task/group per partition.  Pick so one partition's shuffled rows
-            (~100 B/row after normalize) fit comfortably in a worker heap:
-            at 10^10 events and 100 B/row that is 1 TB total, so 4096-16384
-            partitions on a 256-node cluster.
+        num_partitions: hash partitions over ``(repo, path)``: the durable
+            layout (one part file, watermark and manifest each).  The merge
+            runs min(num_partitions, cluster CPUs) tasks, each over a
+            contiguous range of partitions.  Pick so one task's shuffled
+            rows (~100 B/row after normalize) fit comfortably in a worker
+            heap: at 10^10 events and 100 B/row that is 1 TB total, so
+            4096-16384 partitions on a 256-node cluster.
         salt_buckets: sub-buckets for hot ``(repo, path)`` keys.  Salting is
             by ``hash(commit) % salt_buckets`` which preserves exactly-once
             (same change-id -> same bucket) while the last-writer-wins merge
@@ -85,10 +87,10 @@ class ReplaySpec:
     #: pushed down to the parquet scan as row-group predicates.
     min_seq: int | None = None
     max_seq: int | None = None
-    #: bounded merge state (SURVEY §7.5 item 1): a partition whose shuffled
-    #: group exceeds this many rows is merged in key-hash slices with
-    #: streaming row-group writes, so the merge working set (sort + prior
-    #: join + outputs) stays O(cap) instead of O(partition).  None = off.
+    #: bounded merge state (SURVEY §7.5 item 1): a merge task whose
+    #: shuffled block exceeds this many rows merges it in key-hash slices
+    #: with streaming row-group writes, so the merge working set (sort +
+    #: prior join + outputs) stays O(cap) instead of O(block).  None = off.
     state_cap_rows: int | None = None
     #: run-level hooks — the stored-proc extension points the reference's
     #: handler invokes around a load (EK_PRE_HOOK / EK_POST_HOOK +

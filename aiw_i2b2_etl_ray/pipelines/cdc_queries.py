@@ -119,7 +119,8 @@ def _reduce_to_path_dim(facts: rd.Dataset) -> rd.Dataset:
     (repo, path, commit_seq) is unique and max-by-commit_seq composes."""
     import polars as pl
 
-    from ..stages.merge import _path_dim_from_last
+    from ..schemas import PATH_DIM
+    from ..stages.merge import _arrow, _path_dim_from_last
 
     COLS = ["repo", "path", "commit", "lang", "commit_seq", "op", "content_sha256"]
 
@@ -140,7 +141,7 @@ def _reduce_to_path_dim(facts: rd.Dataset) -> rd.Dataset:
             .group_by(["repo", "path"], maintain_order=True)
             .last()
         )
-        return _path_dim_from_last(last)
+        return _arrow(_path_dim_from_last(last), PATH_DIM)
 
     # batch_size=None => whole blocks, the widest (cheapest) combiner scope
     partials = facts.map_batches(partial, batch_format="pyarrow", batch_size=None)

@@ -2,12 +2,19 @@
 
 Logical plan (one wide shuffle total):
 
-    read_parquet (pruned)                          # sources.read_changes
+    read_parquet (pruned, <= B blocks)             # sources.read_changes
       -> map_batches(Normalizer, pyarrow, tasks)   # digest + validate + pkey
       -> [filter: skip committed partitions]       # resume path
-      -> groupby(pkey).map_groups(_merge_group)    # THE shuffle + merge
+      -> sort(pkey, B contiguous pkey ranges)      # THE shuffle
+      -> map_batches(_merge_group, one per range)  # merge, many pkeys a call
       -> [driver] fold hot-key winners             # tiny per-key reduce
       -> dims from the (already reduced) fact output
+
+The execution grain is B = min(num_partitions, cluster CPUs) merge tasks,
+set by the cluster, not by Ray's read split nor by the durable partition
+count: ``num_partitions`` part files, watermarks and manifests are as
+before, and a small delivery is read unsplit so Ray fuses the read with
+the Normalizer.
 
 Reference lifecycle parity (dest/I2b2QueryResultsHandler.java): start() ->
 config + broadcast state; handleQueryResult -> Normalizer; finish() ->
@@ -35,7 +42,7 @@ from ..stages import routing
 from ..stages.merge import PartitionMerger, reduce_hot_rows
 from ..stages.normalize import Normalizer
 from ..state import manifest as mf
-from ..util import worker_runtime_env
+from ..util import cluster_cpus, worker_runtime_env
 
 
 HOT_TOPK_PER_BLOCK = 512
@@ -56,7 +63,7 @@ def find_hot_keys(ds: rd.Dataset, threshold: int) -> set[str]:
         return (
             pl.from_arrow(t.select(["repo", "path"]))
             # null/empty keys are rejected rows downstream — never hot.
-            .filter(pl.col("repo").is_not_null() & pl.col("path").is_not_null())
+            .filter((pl.col("repo") != "") & (pl.col("path") != ""))
             .group_by(["repo", "path"])
             .agg(pl.len().cast(pl.Int64).alias("n"))
             .top_k(HOT_TOPK_PER_BLOCK, by="n")
@@ -92,7 +99,7 @@ def find_hot_keys_local(files: list[str], threshold: int) -> set[str]:
     keys = con.execute(
         """
         SELECT repo, path FROM read_parquet($files, union_by_name=true)
-        WHERE repo IS NOT NULL AND path IS NOT NULL
+        WHERE repo <> '' AND path <> ''  -- also false for NULL: rejected rows
         GROUP BY repo, path
         HAVING COUNT(*) >= $thr
         """,
@@ -123,15 +130,34 @@ def normalized(
     )
 
 
+def merge_tasks(num_partitions: int) -> int:
+    """B: the replay's merge tasks, one per CPU of the cluster and never
+    more than there are partitions."""
+    return max(1, min(num_partitions, cluster_cpus()))
+
+
 def _merge_group(group: pa.Table, merger_kwargs: dict) -> pa.Table:
     return PartitionMerger(**merger_kwargs)(group)
 
 
-def merged_groups(norm: rd.Dataset, merger_kwargs: dict) -> rd.Dataset:
+def merged_groups(
+    norm: rd.Dataset, merger_kwargs: dict, num_partitions: int | None = None
+) -> rd.Dataset:
+    """The exchange and the merge: a sort on ``pkey`` cut at explicit
+    boundaries into ``merge_tasks(num_partitions)`` contiguous pkey ranges
+    (no sampling pass; every range holds partitions), then one merge call
+    per range block.  A partition never straddles two blocks, since the
+    sort partitions by value.  Without ``num_partitions`` the boundaries
+    are sampled from the input blocks."""
+    bounds = None
+    if num_partitions:
+        b = merge_tasks(num_partitions)
+        bounds = [num_partitions * i // b for i in range(1, b)] or None
     # stateless tasks, like normalize: the merger's only state is the
     # broadcast watermark map, fetched from the local object store.
-    return norm.groupby("pkey").map_groups(
+    return norm.sort("pkey", boundaries=bounds).map_batches(
         _merge_group,
+        batch_size=None,
         fn_kwargs={"merger_kwargs": merger_kwargs},
         batch_format="pyarrow",
         **worker_runtime_env(),
@@ -227,7 +253,11 @@ def _replay_impl(
     for f in glob.glob(os.path.join(spec.out_dir, "*.tmp-*")):
         os.remove(f)
 
-    changes = read_changes(input_path) if isinstance(input_path, str) else input_path
+    changes = (
+        read_changes(input_path, max_blocks=merge_tasks(spec.num_partitions))
+        if isinstance(input_path, str)
+        else input_path
+    )
     if spec.min_seq is not None or spec.max_seq is not None:
         # date-bound replay (reference DateTimeFilter analog): a vectorized
         # predicate right after the scan — rows outside the bound never
@@ -355,7 +385,7 @@ def _replay_impl(
         modifier_names=tuple(s.name for s in modifier_specs),
         state_cap_rows=spec.state_cap_rows,
     )
-    hot_rows_ds = merged_groups(norm, merger_kwargs)
+    hot_rows_ds = merged_groups(norm, merger_kwargs, spec.num_partitions)
 
     # hot winners: tiny (|hot keys| x salt_buckets rows) -> driver reduce
     # materialize() executes the merge exactly once; the result (hot-key
@@ -450,5 +480,7 @@ def replay_table(
     spec = ReplaySpec(num_partitions=num_partitions, salt_buckets=1, hot_key_threshold=0)
     norm = normalized(changes, spec, None, modifier_specs)
     return merged_groups(
-        norm, {"emit": emit, "modifier_names": tuple(s.name for s in modifier_specs)}
+        norm,
+        {"emit": emit, "modifier_names": tuple(s.name for s in modifier_specs)},
+        num_partitions,
     )

@@ -22,17 +22,27 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 
-def read_changes(path: str | list[str], *, with_content: bool = True) -> rd.Dataset:
+#: rows a read block holds before a few-file log is split into more
+#: blocks than files (below it a split only adds a stage)
+ROWS_PER_BLOCK = 100_000
+
+
+def read_changes(
+    path: str | list[str], *, with_content: bool = True, max_blocks: int | None = None
+) -> rd.Dataset:
     """Read a Parquet change log.
 
     Column pruning at the read: the merge pipeline never needs anything
     outside the change schema.  Ray's read_parquet tolerates the
     schema-evolution layout (later files carry ``size``) because downstream
     stages normalize every batch through ``schemas.ensure_columns``.
+
+    ``max_blocks`` caps the read's blocks (default: the cluster's CPUs).
     """
     import pyarrow.dataset as pads
 
     from ..schemas import CHANGES, CHANGES_V2
+    from ..util import cluster_cpus
 
     cols = ["repo", "path", "commit", "lang", "commit_seq", "op"]
     if with_content:
@@ -44,23 +54,31 @@ def read_changes(path: str | list[str], *, with_content: bool = True) -> rd.Data
     # analog of the reference's ontology reconciliation
     # (dest/metadata/Metadata.java:424-513).
     frag_names: set[str] = set()
+    n_files = n_rows = 0
     for frag in pads.dataset(path).get_fragments():
         frag_names.update(frag.physical_schema.names)
+        n_files += 1
+        n_rows += frag.metadata.num_rows
     evolved = "size" in frag_names
     base = CHANGES_V2 if evolved else CHANGES
     if evolved:
         cols.append("size")
     schema = pa.schema([base.field(c) for c in cols])
     # NOTE on read parallelism: Ray's ParquetDatasource assigns WHOLE files
-    # to read tasks (np.array_split over fragments — override_num_blocks
-    # only recuts the decoded output into more blocks, which SplitBlocks
-    # already does), so the decode parallelism of a change log equals its
-    # file count.  Ingest-side file sizing is therefore a deployment
-    # concern: write logs as many bounded-size segments (the synthetic
-    # generator defaults to 100k rows/file with 64k-row groups), not a few
-    # giant files — a 20-file 10M-event log decodes on 20 of 32 cores and
-    # the read dominates the whole merge pipeline.
-    return rd.read_parquet(path, schema=schema)
+    # to read tasks, and asking for more blocks than files only recuts each
+    # file's decoded output (a SplitBlocks step, which also keeps Ray from
+    # fusing the read with the Normalizer that follows).  So the read asks
+    # for as many blocks as there are files, never more than the cap: a
+    # small delivery reads unsplit and fused, and a log with more files
+    # than CPUs reads several files per task.  Only a log with fewer files
+    # than the cap and more than ROWS_PER_BLOCK rows per block is split, up
+    # to the cap, for the Normalizer's parallelism.  The counts come from
+    # the Parquet footers.  Decode parallelism still equals the file
+    # count, so write logs as many bounded-size segments, not a few giant
+    # files.
+    cap = max_blocks or cluster_cpus()
+    blocks = min(cap, max(n_files, -(-n_rows // ROWS_PER_BLOCK), 1))
+    return rd.read_parquet(path, schema=schema, override_num_blocks=blocks)
 
 
 def read_changes_table(path: str) -> pa.Table:

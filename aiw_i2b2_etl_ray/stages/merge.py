@@ -3,18 +3,22 @@ temp-table -> ``EK_*`` merge stored procedures
 (dest/I2b2QueryResultsHandler.java:508-686; proc contract :97-161; H2 mocks
 src/main/resources/sql/mock_stored_procedures_h2.sql:22-92).
 
-Physical plan: ``ds.groupby("pkey").map_groups(...)`` — a sort-based
-all-to-all exchange on the int32 partition key (the ONLY wide shuffle in
-the pipeline, ~100 B/row because content was digested in normalize), then
-one vectorized ``PartitionMerger`` call per partition in a stateless task.
+Physical plan: ``ds.sort("pkey", boundaries=...)`` — a range exchange on the
+int32 partition key (the ONLY wide shuffle in the pipeline, ~100 B/row
+because content was digested in normalize) into one block per contiguous
+pkey range, as many ranges as the cluster has CPUs (at most one per
+partition); then one vectorized ``PartitionMerger`` call per block in a
+stateless task.  A block holds many partitions: the merge runs its chain
+once over all of them, keyed by ``(pkey, repo, path)``, and splits the
+outputs per partition only when it writes them.
 
 Per-partition merge semantics (all vectorized via polars; no Python row
 loops):
 
-1. divert rows with ``reject_reason`` to the rejected side table
-   (RejectedFactHandler.java:32-40 analog);
-2. drop rows at-or-below the partition's persisted watermark (exactly-once
+1. drop rows at-or-below the partition's persisted watermark (exactly-once
    across runs / retries);
+2. divert rows with ``reject_reason`` to the rejected side table
+   (RejectedFactHandler.java:32-40 analog);
 3. stable-sort by ``commit_seq``; drop duplicate change-ids
    ``(repo, path, commit)`` keep-first (exactly-once within a delivery;
    reference analog: appendFlag=0 merge-on-update,
@@ -27,8 +31,8 @@ loops):
    the reduction as synthetic events so re-runs converge identically;
 6. outputs are written atomically (tmp file + rename) one file per
    partition, and a per-partition manifest JSON (watermark + lineage
-   counters + schema version) commits the partition — the checkpoint the
-   resume path reads.
+   counters + schema version) commits the partition after its files — the
+   checkpoint the resume path reads.
 
 Hot-key handling (LSM-style): salted sub-partitions each produce their own
 winner for a hot key; those rows are *returned* instead of written, and the
@@ -40,13 +44,13 @@ folds runs back into canonical partition files — exactly an LSM merge.
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import uuid
 
 import polars as pl
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from .. import __version__ as _ENGINE_VERSION
@@ -64,6 +68,14 @@ _MERGED_COLS = [
     "content_len",
     "size",
 ]
+#: the merge's part-file tables and their schemas, in write order
+_SCHEMAS = {
+    "path_dim": PATH_DIM,
+    "change_fact": CHANGE_FACT,
+    "rejected": REJECTED,
+    "archive": ARCHIVE,
+}
+_KEY = ["pkey", "repo", "path"]
 
 
 def _atomic_write(table: pa.Table, path: str) -> None:
@@ -74,27 +86,19 @@ def _atomic_write(table: pa.Table, path: str) -> None:
 
 class _StreamingWriter:
     """Atomic multi-row-group Parquet writer: row groups stream to a tmp
-    file; close() renames into place (nothing if no rows were written)."""
+    file; close() renames it into place."""
 
     def __init__(self, path: str, schema: pa.Schema):
         self.path = path
-        self.schema = schema
         self.tmp = f"{path}.tmp-{uuid.uuid4().hex[:8]}"
-        self._w = None
-        self.rows = 0
+        self._w = pq.ParquetWriter(self.tmp, schema)
 
     def write(self, t: pa.Table):
-        if not len(t):
-            return
-        if self._w is None:
-            self._w = pq.ParquetWriter(self.tmp, self.schema)
         self._w.write_table(t)
-        self.rows += len(t)
 
     def close(self):
-        if self._w is not None:
-            self._w.close()
-            os.replace(self.tmp, self.path)
+        self._w.close()
+        os.replace(self.tmp, self.path)
 
 
 def _atomic_json(obj: dict, path: str) -> None:
@@ -104,9 +108,15 @@ def _atomic_json(obj: dict, path: str) -> None:
     os.replace(tmp, path)
 
 
-def _path_dim_from_last(last: pl.DataFrame) -> pa.Table:
-    """Converged per-key rows -> PATH_DIM arrow table."""
-    out = last.select(
+def _arrow(df: pl.DataFrame, schema: pa.Schema) -> pa.Table:
+    """A polars frame projected onto an output schema (``pkey`` dropped)."""
+    return ensure_columns(df.to_arrow(), schema)
+
+
+def _path_dim_from_last(last: pl.DataFrame) -> pl.DataFrame:
+    """Converged per-key rows -> PATH_DIM columns (and ``pkey``, if any)."""
+    return last.select(
+        *(["pkey"] if "pkey" in last.columns else []),
         pl.col("repo"),
         pl.col("path"),
         pl.col("lang"),
@@ -119,14 +129,13 @@ def _path_dim_from_last(last: pl.DataFrame) -> pa.Table:
         .cast(pl.Datetime("us"))
         .alias("delete_date"),
         pl.col("size").cast(pl.Int64),
-    ).to_arrow()
-    return ensure_columns(out, PATH_DIM)
+    )
 
 
-def _state_to_events(state: pa.Table, modifier_names: tuple = ()) -> pl.DataFrame:
+def _state_to_events(state: pl.DataFrame, modifier_names: tuple = ()) -> pl.DataFrame:
     """Prior path_dim rows -> synthetic events for re-reduction (update mode)."""
-    df = pl.from_arrow(state)
     cols = [
+        pl.col("pkey"),
         pl.col("repo"),
         pl.col("path"),
         pl.col("last_commit").alias("commit"),
@@ -142,7 +151,24 @@ def _state_to_events(state: pa.Table, modifier_names: tuple = ()) -> pl.DataFram
     ]
     # modifier values are fact-level, not state: synthetic events carry none
     cols += [pl.lit(None, dtype=pl.String).alias(f"mod__{n}") for n in modifier_names]
-    return df.select(cols)
+    return state.select(cols)
+
+
+def _repo_live(path_dim: pl.DataFrame, *by: str) -> pl.DataFrame:
+    """``repo_live`` dimension partial rows: live (undeleted) paths per repo."""
+    return (
+        path_dim.filter(pl.col("delete_date").is_null())
+        .group_by(*by, "repo")
+        .agg(pl.len().cast(pl.Int64).alias("live"))
+        .select(
+            *by,
+            pl.lit("repo_live").alias("kind"),
+            pl.col("repo").alias("key"),
+            pl.lit(None, dtype=pl.Int64).alias("mn"),
+            pl.lit(None, dtype=pl.Int64).alias("mx"),
+            "live",
+        )
+    )
 
 
 def fan_out_facts(df: pl.DataFrame, modifier_names: tuple = ()) -> pl.DataFrame:
@@ -169,12 +195,13 @@ def fan_out_facts(df: pl.DataFrame, modifier_names: tuple = ()) -> pl.DataFrame:
 
 
 class PartitionMerger:
-    """The per-partition merge, built once per partition inside a stateless
-    task (``cdc_replay.merged_groups``); ``__init__`` fetches the broadcast
-    watermark map, its only state, from the local object store.
+    """The merge of one block of the keyed exchange, built inside a
+    stateless task (``cdc_replay.merged_groups``); ``__init__`` fetches the
+    broadcast watermark map, its only state, from the local object store.
+    A block may hold any number of partitions (``pkey`` values).
 
     emit:
-        "checkpoint" — side-write partition outputs + manifest; return hot
+        "checkpoint" — side-write partition outputs + manifests; return hot
                        rows (PATH_DIM schema) for the driver's final reduce.
         "path_dim"   — pure: return every converged path_dim row.
         "fact"       — pure: return applied change_fact rows.
@@ -210,360 +237,254 @@ class PartitionMerger:
             self.watermarks = {}
 
     # -- pure vectorized core -------------------------------------------------
-    def _reduce(self, g: pa.Table, pid: int, slice_spec: tuple | None = None):
-        # watermark first: redelivered rows (applied OR rejected in a prior
-        # run) are dropped before any other processing — exactly-once holds
-        # for the rejected side table too.
-        wm_prev = self.watermarks.get(pid, -1)
-        if wm_prev >= 0 and len(g):
-            # null-safe: rows with null commit_seq (rejected upstream as
-            # "null_seq" by the Normalizer) pass the filter so they reach the
-            # rejected table deterministically on every delivery — they have
-            # no change-id ordering, so watermark exactly-once cannot apply.
-            g = g.filter(
-                pc.coalesce(pc.greater(g["commit_seq"], wm_prev), pa.scalar(True))
+    def _merge(self, g: pl.DataFrame, pids: list, prior_rej=None, slice_spec=None) -> dict:
+        """The whole chain over the partitions ``pids`` of ``g`` (a block, or
+        one key-hash slice of it).  Every frame returned keeps ``pkey``;
+        ``counts`` holds per-partition counter parts for ``_totals``."""
+        seq = pl.col("commit_seq")
+        ev = g
+        if self.watermarks:
+            # watermark first: redelivered rows (applied OR rejected in a
+            # prior run) are dropped before any other processing —
+            # exactly-once holds for the rejected side table too.  Null-seq
+            # rows (rejected upstream as "null_seq" by the Normalizer) pass
+            # so they reach the rejected table deterministically on every
+            # delivery — they have no change-id ordering.
+            wm = pl.col("pkey").replace_strict(
+                pids, [self.watermarks.get(p, -1) for p in pids],
+                default=-1, return_dtype=pl.Int64,
             )
+            ev = g.filter(seq.is_null() | (wm < 0) | (seq > wm))
 
-        reason = g["reject_reason"]
-        ok = pc.is_null(reason)
-        rejected = g.filter(pc.invert(ok))
-        g = g.filter(ok)
-
-        df = pl.from_arrow(
-            g.select(_MERGED_COLS + [f"mod__{n}" for n in self.modifier_names])
+        rejected = ev.filter(pl.col("reject_reason").is_not_null()).rename(
+            {"reject_reason": "reason"}
         )
-        if df.schema["content_sha256"] == pl.Binary:
+        if prior_rej is not None:
+            rejected = _drop_redelivered_null_seq(rejected, prior_rej)
+        ok = ev.filter(pl.col("reject_reason").is_null()).select(
+            ["pkey", *_MERGED_COLS, *(f"mod__{n}" for n in self.modifier_names)]
+        )
+        if ok.schema["content_sha256"] == pl.Binary:
             # shuffle carries the raw 32-byte digest; outputs are hex
-            df = df.with_columns(pl.col("content_sha256").bin.encode("hex"))
-        if len(df):
-            df = df.sort("commit_seq", maintain_order=True)
-        n_in = len(df)
-        df = df.unique(subset=["repo", "path", "commit"], keep="first", maintain_order=True)
-        dups = n_in - len(df)
+            ok = ok.with_columns(pl.col("content_sha256").bin.encode("hex"))
+        ok = ok.sort("commit_seq", maintain_order=True)
+        df = ok.unique(subset=["pkey", "repo", "path", "commit"], keep="first", maintain_order=True)
 
         prior = None
-        prior_raw = None
         if self.mode == "update" and self.emit == "checkpoint":
-            part = os.path.join(self.out_dirs["path_dim"], f"part-{pid:05d}.parquet")
-            if os.path.exists(part):
-                prior_raw = pq.read_table(part)
-                if slice_spec is not None:
-                    # bounded-state mode: keep only this key-hash slice of
-                    # the prior (re-read per slice trades IO for O(cap)
-                    # memory; keys never cross slices by construction)
-                    s_i, s_n = slice_spec
-                    mask = routing.slice_ids(routing.key_hash(prior_raw), s_n) == s_i
-                    prior_raw = prior_raw.filter(pa.array(mask))
-                prior = _state_to_events(prior_raw, self.modifier_names)
-
+            prior = self._read_parts("path_dim", pids)
+            if prior is not None and slice_spec is not None:
+                # bounded-state mode: keep only this key-hash slice of the
+                # prior (re-read per slice trades IO for O(cap) memory; keys
+                # never cross slices by construction)
+                s_i, s_n = slice_spec
+                prior = prior.filter(pl.Series(routing.slice_ids(routing.key_hash(prior), s_n) == s_i))
         merged = df if prior is None else pl.concat(
-            [prior.select(df.columns), df], how="vertical"
+            [_state_to_events(prior, self.modifier_names).select(df.columns), df]
         ).sort("commit_seq", maintain_order=True)
 
-        grouped = merged.group_by(["repo", "path"], maintain_order=True)
+        grouped = merged.group_by(_KEY, maintain_order=True)
         last = grouped.last() if self.merge_policy == "last_writer_wins" else grouped.first()
-        conflicts = len(merged) - len(last)
-        wm_new = wm_prev
-        if len(df):
-            wm_new = max(wm_new, int(df["commit_seq"].max()))
-        if len(rejected):
-            rej_max = pc.max(rejected["commit_seq"]).as_py()
-            if rej_max is not None:
-                wm_new = max(wm_new, int(rej_max))
-        return df, last, rejected, dups, conflicts, wm_new, prior_raw
-
-    def _slice_result(self, sub: pa.Table, pid: int, slice_spec: tuple | None):
-        """One slice's full merge result (the whole partition when
-        slice_spec is None)."""
-        facts_df, last, rejected, dups, conflicts, wm_new, prior_raw = self._reduce(
-            sub, pid, slice_spec
-        )
         path_dim = _path_dim_from_last(last)
-        hot_mask = None
-        if "is_hot" in sub.column_names:
-            arrived_hot = pc.coalesce(sub["is_hot"], False)
-            if pc.any(arrived_hot).as_py():
-                # keys that arrived salted: their winners go to the driver reduce
-                hot = pl.from_arrow(sub.filter(arrived_hot).select(["repo", "path"])).unique()
-                hot_mask = pa.array(routing.hot_mask(path_dim, routing.encode_keys(hot)))
-        if hot_mask is not None:
-            hot_rows = path_dim.filter(hot_mask)
-            path_dim = path_dim.filter(pc.invert(hot_mask))
-        else:
-            hot_rows = path_dim.slice(0, 0)
+        hot = path_dim.clear()
+        if "is_hot" in g.columns and g["is_hot"].any():
+            # keys that arrived salted: their winners go to the driver reduce
+            arrived = g.filter(pl.col("is_hot")).select(_KEY).unique()
+            hot = path_dim.join(arrived, on=_KEY, how="semi")
+            path_dim = path_dim.join(arrived, on=_KEY, how="anti")
 
         # ARCHIVE_OBSERVATION_FACT analog: a prior state row displaced by a
         # newer winner is archived, not dropped (i2b2_data_tables_1_7_h2
         # .sql:139-163).  Hot-key folds are exempt (their state lives in
         # LSM hot runs, compacted separately).
-        arch = None
-        if prior_raw is not None and len(prior_raw) and "archive" in self.out_dirs:
-            pr = pl.from_arrow(ensure_columns(prior_raw, PATH_DIM))
-            cur = last.select(
-                pl.col("repo"), pl.col("path"), pl.col("commit_seq").alias("replaced_by_seq")
-            )
-            arch_df = (
-                pr.join(cur, on=["repo", "path"], how="inner")
+        archive = None
+        if prior is not None and len(prior) and "archive" in self.out_dirs:
+            cur = last.select(*_KEY, seq.alias("replaced_by_seq"))
+            archive = (
+                prior.join(cur, on=_KEY, how="inner")
                 .filter(pl.col("replaced_by_seq") != pl.col("last_commit_seq"))
                 .with_columns(pl.lit(self.run_id).alias("archived_run_id"))
             )
-            if len(arch_df):
-                arch = ensure_columns(arch_df.to_arrow(), ARCHIVE)
 
-        facts = ensure_columns(
-            fan_out_facts(facts_df, self.modifier_names).to_arrow(), CHANGE_FACT
+        n = pl.len().cast(pl.Int64)
+        counts = pl.concat(
+            [
+                ok.group_by("pkey").agg(n.alias("dups")),
+                df.group_by("pkey").agg((-n).alias("dups"), n.alias("applied"), seq.max().alias("wm")),
+                merged.group_by("pkey").agg(n.alias("conflicts")),
+                last.group_by("pkey").agg((-n).alias("conflicts")),
+                rejected.group_by("pkey").agg(n.alias("rejected"), seq.max().alias("wm")),
+            ],
+            how="diagonal",
         )
-        rej = None
-        if len(rejected):
-            rej = ensure_columns(
-                rejected.rename_columns(
-                    [c if c != "reject_reason" else "reason" for c in rejected.column_names]
-                ),
-                REJECTED,
-            )
-        partials = self._dim_partial_frames(facts_df, path_dim)
-        counters = dict(
-            applied=len(facts_df), dups=dups, conflicts=conflicts,
-            rejected=0 if rej is None else len(rej), wm=wm_new,
+        return dict(
+            path_dim=path_dim, hot=hot, change_fact=fan_out_facts(df, self.modifier_names),
+            rejected=rejected, archive=archive, partials=self._dim_partials(df, path_dim),
+            counts=counts,
         )
-        return path_dim, hot_rows, facts, rej, arch, partials, counters
 
-    def __call__(self, g: pa.Table) -> pa.Table:
-        pid = g["pkey"][0].as_py()
-
+    def __call__(self, block: pa.Table) -> pa.Table:
+        if not len(block):
+            return (CHANGE_FACT if self.emit == "fact" else PATH_DIM).empty_table()
+        g = pl.from_arrow(block)
+        pids = g["pkey"].unique().sort().to_list()
         if self.emit == "path_dim":
-            _, last = self._reduce(g, pid)[0:2]
-            return _path_dim_from_last(last)
+            out = self._merge(g, pids)
+            return _arrow(pl.concat([out["path_dim"], out["hot"]]), PATH_DIM)
         if self.emit == "fact":
-            facts_df = self._reduce(g, pid)[0]
-            return ensure_columns(
-                fan_out_facts(facts_df, self.modifier_names).to_arrow(), CHANGE_FACT
-            )
+            return _arrow(self._merge(g, pids)["change_fact"], CHANGE_FACT)
 
         # --- checkpoint mode -------------------------------------------------
-        # Bounded state (SURVEY §7.5 item 1): above state_cap_rows the
-        # partition merges in key-hash slices — per-slice sort/prior-join/
-        # outputs are O(cap), streamed to the part files as row groups.
+        # Bounded state (SURVEY §7.5 item 1): above state_cap_rows the block
+        # merges in key-hash slices — per-slice sort/prior-join/outputs are
+        # O(cap), streamed to the part files as row groups.
         cap = self.state_cap_rows
-        n_slices = 1
-        if cap and len(g) > cap:
-            n_slices = -(-len(g) // cap)
-        fact_name = (
-            f"part-{pid:05d}.parquet"
-            if self.mode == "replace"
-            else f"part-{pid:05d}-{self.run_id}.parquet"
-        )
-        w_path = _StreamingWriter(
-            os.path.join(self.out_dirs["path_dim"], f"part-{pid:05d}.parquet"), PATH_DIM
-        )
-        w_fact = _StreamingWriter(
-            os.path.join(self.out_dirs["change_fact"], fact_name), CHANGE_FACT
-        )
-        w_rej = _StreamingWriter(
-            os.path.join(self.out_dirs["rejected"], f"part-{pid:05d}-{self.run_id}.parquet"),
-            REJECTED,
-        )
-        w_arch = None
-        if "archive" in self.out_dirs:
-            w_arch = _StreamingWriter(
-                os.path.join(self.out_dirs["archive"], f"part-{pid:05d}-{self.run_id}.parquet"),
-                ARCHIVE,
-            )
-
+        n_slices = -(-len(g) // cap) if cap and len(g) > cap else 1
         slice_ids = routing.slice_ids(routing.key_hash(g), n_slices) if n_slices > 1 else None
-        hot_parts, partial_frames = [], []
-        totals = dict(applied=0, dups=0, conflicts=0, rejected=0, wm=-1)
-        prior_rej = (
-            self._prior_rejected_keys(pid) if self.mode == "update" else set()
-        )
+        prior_rej = self._prior_rejected(g) if self.mode == "update" else None
+        writers, hot, partials, counts = {}, [], [], []
         for s_i in range(n_slices):
-            if slice_ids is None:
-                sub, spec = g, None
-            else:
-                sub, spec = g.filter(pa.array(slice_ids == s_i)), (s_i, n_slices)
-            path_dim, hot_rows, facts, rej, arch, partials, c = self._slice_result(
-                sub, pid, spec
-            )
-            if rej is not None and prior_rej:
-                rej = _drop_redelivered_null_seq(rej, prior_rej)
-                c["rejected"] = len(rej)
-                if len(rej) == 0:
-                    rej = None
-            w_path.write(path_dim)
-            w_fact.write(facts)
-            if rej is not None:
-                w_rej.write(rej)
-            if arch is not None and w_arch is not None:
-                w_arch.write(arch)
-            if len(hot_rows):
-                hot_parts.append(hot_rows)
-            partial_frames.extend(partials)
-            for k in ("applied", "dups", "conflicts", "rejected"):
-                totals[k] += c[k]
-            totals["wm"] = max(totals["wm"], c["wm"])
+            sub, spec = g, None
+            if slice_ids is not None:
+                sub, spec = g.filter(pl.Series(slice_ids == s_i)), (s_i, n_slices)
+            out = self._merge(sub, pids, prior_rej, spec)
+            for table, schema in _SCHEMAS.items():
+                if out[table] is None:
+                    continue
+                for (pid,), part in out[table].partition_by("pkey", as_dict=True).items():
+                    if (table, pid) not in writers:
+                        writers[table, pid] = _StreamingWriter(self._path(table, pid), schema)
+                    writers[table, pid].write(_arrow(part, schema))
+            hot.append(out["hot"])
+            partials.append(out["partials"])
+            counts.append(out["counts"])
 
-        # path_dim / change_fact part files are always (re)written, even
-        # empty (the prior part file was consumed into the slices above);
-        # rejected / archive only when rows exist (matching prior behavior)
-        if w_path.rows == 0:
-            _atomic_write(PATH_DIM.empty_table(), w_path.path)
-        else:
-            w_path.close()
-        if w_fact.rows == 0:
-            _atomic_write(CHANGE_FACT.empty_table(), w_fact.path)
-        else:
-            w_fact.close()
-        w_rej.close()
-        if w_arch is not None:
-            w_arch.close()
+        dim_parts = self._fold_dim_partials(pl.concat(partials), pids)
+        totals = self._totals(pl.concat(counts))
+        for pid in pids:
+            # path_dim / change_fact part files are always (re)written, even
+            # empty (the prior part file was consumed above); rejected /
+            # archive only when rows exist
+            for table, schema in _SCHEMAS.items():
+                if (table, pid) in writers:
+                    writers[table, pid].close()
+                elif table in ("path_dim", "change_fact"):
+                    _atomic_write(schema.empty_table(), self._path(table, pid))
+            if pid in dim_parts:
+                _atomic_write(dim_parts[pid], self._path("_dimpart", pid))
+            # the manifest commits the partition, so it is written last
+            self._commit_manifest(pid, totals.get(pid, {}))
+        return _arrow(pl.concat(hot), PATH_DIM)
 
-        self._commit_dim_partials(pid, partial_frames)
-        # rows_applied counts APPLIED EVENTS (base rows), not fan-out rows
-        self._commit_manifest(
-            pid, totals["applied"], totals["dups"], totals["conflicts"],
-            totals["rejected"], totals["wm"],
+    def _path(self, table: str, pid: int) -> str:
+        """A partition's file of ``table``; per-run tables carry the run id."""
+        per_run = table in ("rejected", "archive") or (
+            table == "change_fact" and self.mode != "replace"
         )
-        hot_rows = (
-            pa.concat_tables(hot_parts) if hot_parts else PATH_DIM.empty_table()
-        )
-        return hot_rows
+        run = f"-{self.run_id}" if per_run else ""
+        return os.path.join(self.out_dirs[table], f"part-{pid:05d}{run}.parquet")
 
-    def _prior_rejected_keys(self, pid: int) -> set:
-        """Content keys (repo, path, commit, reason) of this partition's
-        already-persisted rejected rows from PRIOR runs.  Null-seq rejects
-        bypass the watermark by design (no change-id ordering), so under
-        steady redelivery they would otherwise re-append every run; this
-        content-key dedup bounds the rejected table.  The current run's own
-        file is excluded — a crash-resume rewrites it, so deduping against
-        it would drop rows from the rewrite."""
-        import glob as _glob
+    def _read_parts(self, table: str, pids: list) -> pl.DataFrame | None:
+        """The existing ``table`` part files of ``pids``, tagged with ``pkey``."""
+        frames = [
+            pl.from_arrow(pq.read_table(p)).with_columns(pl.lit(pid, pl.Int32).alias("pkey"))
+            for pid in pids
+            if os.path.exists(p := self._path(table, pid))
+        ]
+        return pl.concat(frames) if frames else None
 
-        keys: set = set()
-        pat = os.path.join(self.out_dirs["rejected"], f"part-{pid:05d}-*.parquet")
-        for f in _glob.glob(pat):
-            if f.endswith(f"-{self.run_id}.parquet"):
-                continue
-            t = pq.read_table(f, columns=["repo", "path", "commit", "reason"])
-            keys.update(
-                zip(
-                    t["repo"].to_pylist(),
-                    t["path"].to_pylist(),
-                    t["commit"].to_pylist(),
-                    t["reason"].to_pylist(),
-                )
-            )
-        return keys
+    def _prior_rejected(self, g: pl.DataFrame) -> pl.DataFrame | None:
+        """Content keys ``(pkey, repo, path, commit, reason)`` of the
+        rejected rows PRIOR runs persisted, for the partitions where ``g``
+        has a null ``commit_seq``.  Null-seq rejects bypass the watermark by
+        design (no change-id ordering), so under steady redelivery they
+        would otherwise re-append every run; this content-key dedup bounds
+        the rejected table.  A partition with no null-seq row reads no
+        rejected file.  The current run's own file is excluded — a
+        crash-resume rewrites it, so deduping against it would drop rows
+        from the rewrite."""
+        frames = []
+        for pid in g.filter(pl.col("commit_seq").is_null())["pkey"].unique().to_list():
+            pat = os.path.join(self.out_dirs["rejected"], f"part-{pid:05d}-*.parquet")
+            frames += [
+                pl.from_arrow(pq.read_table(f, columns=["repo", "path", "commit", "reason"]))
+                .select(pl.lit(pid, pl.Int32).alias("pkey"), pl.all())
+                for f in glob.glob(pat)
+                if not f.endswith(f"-{self.run_id}.parquet")
+            ]
+        return pl.concat(frames).unique() if frames else None
 
-    def _dim_partial_frames(self, facts_df: pl.DataFrame, path_dim: pa.Table) -> list:
-        """Per-partition dimension partial frames (the combiner side of
+    def _dim_partials(self, f: pl.DataFrame, path_dim: pl.DataFrame) -> pl.DataFrame:
+        """Per-partition dimension partial rows (the combiner side of
         repo_dim / lang_dim / modifier_dim): per-repo first/last applied seq
         + per-repo live-path count + per-lang first-seen + per-modifier
         counts.  The driver folds these tiny tables — no second pass over
         the fact table.  Hot-key winners are NOT in ``path_dim`` here; the
         driver adds the hot fold's live counts separately."""
-        parts = []
-        if len(facts_df):
-            f = facts_df
+        seq = pl.col("commit_seq")
+        bounds = [seq.min().alias("mn"), seq.max().alias("mx")]
+        parts = [
+            f.group_by("pkey", col)
+            .agg(bounds)
+            .select(
+                "pkey", pl.lit(col).alias("kind"), pl.col(col).alias("key"), "mn", "mx",
+                pl.lit(0, dtype=pl.Int64).alias("live"),
+            )
+            for col in ("repo", "lang")
+        ]
+        # modifier_dim partials: per-modifier first-seen seq + fact count
+        for name in self.modifier_names:
             parts.append(
-                pl.concat(
-                    [
-                        f.group_by("repo")
-                        .agg(
-                            pl.col("commit_seq").min().alias("mn"),
-                            pl.col("commit_seq").max().alias("mx"),
-                        )
-                        .select(
-                            pl.lit("repo").alias("kind"),
-                            pl.col("repo").alias("key"),
-                            "mn",
-                            "mx",
-                            pl.lit(0, dtype=pl.Int64).alias("live"),
-                        ),
-                        f.group_by("lang")
-                        .agg(
-                            pl.col("commit_seq").min().alias("mn"),
-                            pl.col("commit_seq").max().alias("mx"),
-                        )
-                        .select(
-                            pl.lit("lang").alias("kind"),
-                            pl.col("lang").alias("key"),
-                            "mn",
-                            "mx",
-                            pl.lit(0, dtype=pl.Int64).alias("live"),
-                        ),
-                    ]
-                )
+                f.filter(pl.col(f"mod__{name}").is_not_null())
+                .group_by("pkey")
+                .agg(*bounds, pl.len().cast(pl.Int64).alias("live"))
+                .select("pkey", pl.lit("mod").alias("kind"), pl.lit(name).alias("key"), "mn", "mx", "live")
             )
-            # modifier_dim partials: per-modifier first-seen seq + fact count
-            for name in self.modifier_names:
-                hit = f.filter(pl.col(f"mod__{name}").is_not_null())
-                if len(hit):
-                    parts.append(
-                        pl.DataFrame(
-                            {
-                                "kind": ["mod"],
-                                "key": [name],
-                                "mn": [int(hit["commit_seq"].min())],
-                                "mx": [int(hit["commit_seq"].max())],
-                                "live": [len(hit)],
-                            }
-                        ).with_columns(
-                            pl.col("mn").cast(pl.Int64),
-                            pl.col("mx").cast(pl.Int64),
-                            pl.col("live").cast(pl.Int64),
-                        )
-                    )
-        if len(path_dim):
-            live = (
-                pl.from_arrow(path_dim)
-                .filter(pl.col("delete_date").is_null())
-                .group_by("repo")
-                .agg(pl.len().cast(pl.Int64).alias("live"))
-                .select(
-                    pl.lit("repo_live").alias("kind"),
-                    pl.col("repo").alias("key"),
-                    pl.lit(None, dtype=pl.Int64).alias("mn"),
-                    pl.lit(None, dtype=pl.Int64).alias("mx"),
-                    "live",
-                )
-            )
-            parts.append(live)
-        return parts
+        return pl.concat([*parts, _repo_live(path_dim, "pkey")])
 
-    def _commit_dim_partials(self, pid: int, parts: list):
-        dp_path = os.path.join(self.out_dirs["_dimpart"], f"part-{pid:05d}.parquet")
-        if self.mode == "update" and os.path.exists(dp_path):
+    def _fold_dim_partials(self, parts: pl.DataFrame, pids: list) -> dict:
+        """Each partition's folded ``_dimpart`` table."""
+        prior = self._read_parts("_dimpart", pids) if self.mode == "update" else None
+        if prior is not None:
             # fold the prior partial: min/max fold for seq bounds; live is a
             # fresh snapshot (prior live rows dropped, since path_dim state
             # was re-merged above)
-            prior = pl.from_arrow(pq.read_table(dp_path)).filter(
-                pl.col("kind") != "repo_live"
+            parts = pl.concat(
+                [parts, prior.filter(pl.col("kind") != "repo_live").select(parts.columns)]
             )
-            parts = parts + [prior]
-        if not parts:
-            return
-        folded = (
-            pl.concat(parts)
-            .group_by(["kind", "key"])
-            .agg(pl.col("mn").min(), pl.col("mx").max(), pl.col("live").sum())
+        folded = parts.group_by(["pkey", "kind", "key"]).agg(
+            pl.col("mn").min(), pl.col("mx").max(), pl.col("live").sum()
         )
-        _atomic_write(folded.to_arrow(), dp_path)
+        return {
+            pid: t.to_arrow()
+            for (pid,), t in folded.partition_by("pkey", as_dict=True, include_key=False).items()
+        }
 
-    def _commit_manifest(self, pid, n_facts, dups, conflicts, n_rejected, wm_new):
-        # manifest commit point — MUST be last (resume reads this)
+    @staticmethod
+    def _totals(counts: pl.DataFrame) -> dict:
+        """Per-partition lineage counters over every slice's counter parts."""
+        totals = counts.group_by("pkey").agg(
+            pl.col("applied", "dups", "conflicts", "rejected").sum(), pl.col("wm").max()
+        )
+        return {r.pop("pkey"): r for r in totals.iter_rows(named=True)}
+
+    def _commit_manifest(self, pid: int, c: dict):
+        # manifest commit point — MUST be last (resume reads this).
+        # rows_applied counts APPLIED EVENTS (base rows), not fan-out rows
         prev = {}
         mpath = os.path.join(self.out_dirs["_manifest"], f"part-{pid:05d}.json")
         if os.path.exists(mpath):
             with open(mpath) as f:
                 prev = json.load(f)
+        wm = max(self.watermarks.get(pid, -1), c.get("wm") if c.get("wm") is not None else -1)
         _atomic_json(
             {
                 "partition_id": pid,
-                "watermark_seq": wm_new,
-                "rows_applied": prev.get("rows_applied", 0) + n_facts,
-                "dups_dropped": prev.get("dups_dropped", 0) + dups,
-                "conflicts_resolved": prev.get("conflicts_resolved", 0) + conflicts,
-                "rows_rejected": prev.get("rows_rejected", 0) + n_rejected,
+                "watermark_seq": wm,
+                "rows_applied": prev.get("rows_applied", 0) + c.get("applied", 0),
+                "dups_dropped": prev.get("dups_dropped", 0) + c.get("dups", 0),
+                "conflicts_resolved": prev.get("conflicts_resolved", 0) + c.get("conflicts", 0),
+                "rows_rejected": prev.get("rows_rejected", 0) + c.get("rejected", 0),
                 "schema_version": self.schema_version,
                 "run_id": self.run_id,
                 "engine_version": _ENGINE_VERSION,
@@ -572,22 +493,17 @@ class PartitionMerger:
         )
 
 
-def _drop_redelivered_null_seq(rej: pa.Table, prior_keys: set) -> pa.Table:
-    """Drop null-commit_seq rejected rows whose (repo, path, commit,
-    reason) already exists in a prior run's rejected table.  Watermarked
+def _drop_redelivered_null_seq(rej: pl.DataFrame, prior: pl.DataFrame) -> pl.DataFrame:
+    """Drop null-commit_seq rejected rows whose ``(pkey, repo, path, commit,
+    reason)`` a prior run's rejected table already holds.  Watermarked
     (non-null-seq) rows never reach the merge twice, so only the null-seq
     side needs this content-key dedup."""
-    null_mask = pc.is_null(rej["commit_seq"]).to_numpy(zero_copy_only=False)
-    if not null_mask.any():
-        return rej
-    rows = zip(
-        rej["repo"].to_pylist(),
-        rej["path"].to_pylist(),
-        rej["commit"].to_pylist(),
-        rej["reason"].to_pylist(),
+    rej = rej.with_row_index("_row")
+    seen = (
+        rej.filter(pl.col("commit_seq").is_null())
+        .join(prior, on=prior.columns, how="semi", nulls_equal=True)["_row"]
     )
-    keep = [not (null_mask[i] and k in prior_keys) for i, k in enumerate(rows)]
-    return rej.filter(pa.array(keep))
+    return rej.filter(~pl.col("_row").is_in(seen.implode())).drop("_row")
 
 
 def reduce_hot_rows(hot: pa.Table) -> pa.Table:
@@ -605,7 +521,7 @@ def reduce_hot_rows(hot: pa.Table) -> pa.Table:
 
 def compact_path_dim(out_dir: str) -> int:
     """LSM compaction: consolidate all hot-run files into ONE LWW-reduced
-    hot file.  Returns the number of surviving hot keys.
+    hot file.  Returns the number of hot keys in it.
 
     Deliberately consolidation-only, never re-homing into partition files:
     the engine's state invariant is that a key in the persisted hot set
@@ -615,11 +531,9 @@ def compact_path_dim(out_dir: str) -> int:
     Re-homing would put hot-key state back into partition files while
     future events still route salted — double-counting dimensions and
     splitting state."""
-    import glob
-
     hot_files = sorted(glob.glob(os.path.join(out_dir, "path_dim", "hot-*.parquet")))
-    if len(hot_files) <= 1:
-        return 0
+    if len(hot_files) <= 1:  # one run is already reduced per key
+        return sum(pq.read_metadata(f).num_rows for f in hot_files)
     hot = reduce_hot_rows(pa.concat_tables([pq.read_table(f) for f in hot_files]))
     _atomic_write(hot, os.path.join(out_dir, "path_dim", "hot-compacted.parquet"))
     for f in hot_files:
@@ -705,19 +619,7 @@ def remove_keys_from_parts(out_dir: str, keys: set[str], num_partitions: int) ->
         _atomic_write(keep, part)
         # refresh this partition's repo_live snapshot (now excluding the keys)
         dp_path = os.path.join(out_dir, "_dimpart", f"part-{pid:05d}.parquet")
-        fresh_live = (
-            pl.from_arrow(keep)
-            .filter(pl.col("delete_date").is_null())
-            .group_by("repo")
-            .agg(pl.len().cast(pl.Int64).alias("live"))
-            .select(
-                pl.lit("repo_live").alias("kind"),
-                pl.col("repo").alias("key"),
-                pl.lit(None, dtype=pl.Int64).alias("mn"),
-                pl.lit(None, dtype=pl.Int64).alias("mx"),
-                "live",
-            )
-        )
+        fresh_live = _repo_live(pl.from_arrow(keep))
         if os.path.exists(dp_path):
             prior = pl.from_arrow(pq.read_table(dp_path)).filter(
                 pl.col("kind") != "repo_live"
@@ -728,8 +630,6 @@ def remove_keys_from_parts(out_dir: str, keys: set[str], num_partitions: int) ->
 
 def load_path_dim(out_dir: str) -> pa.Table:
     """Merge-on-read over the LSM runs: part files + hot files; LWW per key."""
-    import glob
-
     files = sorted(glob.glob(os.path.join(out_dir, "path_dim", "*.parquet")))
     if not files:
         return PATH_DIM.empty_table()

@@ -29,6 +29,16 @@ def worker_runtime_env() -> dict:
     return {"runtime_env": WORKER_ENV}
 
 
+def cluster_cpus() -> int:
+    """Logical CPUs of the Ray cluster; starts a local one when none is
+    connected, as Ray Data's first use would."""
+    import ray
+
+    if not ray.is_initialized():
+        ray.init()
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
 def cap_kernel_threads() -> None:
     """Call in bench/test entrypoints BEFORE ray.init so every worker
     inherits single-threaded kernel settings."""

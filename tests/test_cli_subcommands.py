@@ -58,3 +58,38 @@ def test_corpus_cli_build_and_resume(tmp_path):
     r2 = _run(["corpus", "--sf-dir", "/root/testdata/sf0.001", "--out", out], timeout=420)
     s2 = json.loads(r2.stdout.strip().splitlines()[-1])
     assert s2["written"] == 0 and s2["skipped"] == s1["written"]
+
+
+def test_compact_cli_prints_hot_keys_left(changes_dir, tmp_path):
+    """`compact` folds two hot runs into one and prints how many hot keys
+    that run holds (it re-homes none)."""
+    import glob
+
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from aiw_i2b2_etl_ray.config import ReplaySpec
+    from aiw_i2b2_etl_ray.pipelines.cdc_replay import replay
+    from aiw_i2b2_etl_ray.sources.changes import read_changes_table
+
+    full = read_changes_table(changes_dir)
+    cut = pc.max(full["commit_seq"]).as_py() // 2
+    logs = {}
+    for name, mask in (("head", pc.less_equal), ("tail", pc.greater)):
+        d = tmp_path / name
+        d.mkdir()
+        pq.write_table(full.filter(mask(full["commit_seq"], cut)), str(d / "p.parquet"))
+        logs[name] = str(d)
+    out = str(tmp_path / "out")
+    kw = dict(out_dir=out, num_partitions=4, salt_buckets=4, hot_key_threshold=20)
+    replay(logs["head"], ReplaySpec(**kw), run_id="c1")
+    replay(logs["tail"], ReplaySpec(mode="update", **kw), run_id="c2")
+    hot = os.path.join(out, "path_dim", "hot-*.parquet")
+    assert len(glob.glob(hot)) >= 2
+
+    r = _run(["compact", "--out", out])
+    assert r.returncode == 0, r.stderr[-2000:]
+    (left,) = glob.glob(hot)
+    n = pq.read_metadata(left).num_rows
+    assert n > 0
+    assert json.loads(r.stdout.strip().splitlines()[-1]) == {"hot_keys": n}

@@ -122,3 +122,35 @@ def test_checkpoint_merge_runs_as_tasks(tmp_path, tiny_changes, monkeypatch):
     assert summary["partitions"] > 0
     assert ("TaskPoolMapOperator", "MapBatches(_merge_group)") in plans, plans
     assert not [op for op in plans if op[0] == "ActorPoolMapOperator"], plans
+
+
+def test_replay_reads_fused_and_merges_in_one_task_per_range(tmp_path, tiny_changes, monkeypatch):
+    """The read and ``Normalizer`` fuse into one operator (the read is not
+    split), and the merge runs B = min(num_partitions, CPUs) task-pool
+    tasks, one per pkey range."""
+    import ray
+    from ray.data._internal.logical.optimizers import get_execution_plan
+
+    plans, stats = [], []
+    orig = cdc_replay.merged_groups
+
+    def capture(*args, **kwargs):
+        ds = orig(*args, **kwargs)
+        todo = [get_execution_plan(ds._plan._logical_plan).dag]
+        while todo:
+            op = todo.pop()
+            plans.append((type(op).__name__, op.name))
+            todo.extend(op.input_dependencies)
+        ds = ds.materialize()
+        stats.append(ds.stats())
+        return ds
+
+    monkeypatch.setattr(cdc_replay, "merged_groups", capture)
+    spec = ReplaySpec(
+        out_dir=str(tmp_path / "out"), num_partitions=8, salt_buckets=4, hot_key_threshold=50
+    )
+    cdc_replay.replay(tiny_changes, spec)
+    b = cdc_replay.merge_tasks(spec.num_partitions)
+    assert b == min(spec.num_partitions, int(ray.cluster_resources()["CPU"])) > 1
+    assert ("TaskPoolMapOperator", "ReadParquet->MapBatches(Normalizer)") in plans, plans
+    assert f"MapBatches(_merge_group): {b} tasks executed" in stats[0], stats[0]
