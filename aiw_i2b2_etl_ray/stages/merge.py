@@ -75,6 +75,7 @@ _SCHEMAS = {
     "rejected": REJECTED,
     "archive": ARCHIVE,
 }
+#: the chain's key: a salted hot key has one winner per partition it lands in
 _KEY = ["pkey", "repo", "path"]
 
 

@@ -163,3 +163,17 @@ def test_rejected_files_are_read_only_for_null_seq_rows(tmp_path, monkeypatch):
     assert not [f for f in seen if f.startswith(rejected)]
     total = sum(pq.read_metadata(f).num_rows for f in glob.glob(f"{rejected}/*.parquet"))
     assert total == n_rej
+
+
+def test_block_merge_filters_each_partition_by_its_own_watermark():
+    """A row above its own partition's watermark applies even when another
+    partition of the same block has a higher one."""
+    block = Normalizer(P, 1)(_changes(0, 200))
+    wms = {p: 40 + 20 * p for p in range(P)}
+    merger = PartitionMerger(emit="fact", watermarks_ref=ray.put(wms))
+    got = merger(block)
+    want = pa.concat_tables(
+        [merger(block.filter(pc.equal(block["pkey"], p))) for p in pc.unique(block["pkey"]).to_pylist()]
+    )
+    assert_table_eq(got, want, got.column_names)
+    assert 0 < pc.min(got["commit_seq"]).as_py() < max(wms.values())
