@@ -289,7 +289,7 @@ class PartitionMerger:
         path_dim = _path_dim_from_last(last)
         hot = path_dim.clear()
         if "is_hot" in g.columns and g["is_hot"].any():
-            # keys that arrived salted: their winners go to the driver reduce
+            # keys that arrived salted: their winners go to the final per-key reduce
             arrived = g.filter(pl.col("is_hot")).select(_KEY).unique()
             hot = path_dim.join(arrived, on=_KEY, how="semi")
             path_dim = path_dim.join(arrived, on=_KEY, how="anti")
