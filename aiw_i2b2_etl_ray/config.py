@@ -54,11 +54,14 @@ class ReplaySpec:
     Attributes:
         num_partitions: hash partitions over ``(repo, path)``: the durable
             layout (one part file, watermark and manifest each).  The merge
-            runs min(num_partitions, cluster CPUs) tasks, each over a
-            contiguous range of partitions.  Pick so one task's shuffled
-            rows (~100 B/row after normalize) fit comfortably in a worker
-            heap: at 10^10 events and 100 B/row that is 1 TB total, so
-            4096-16384 partitions on a 256-node cluster.
+            runs one task per cluster CPU over a contiguous range of
+            partitions, and more tasks, up to ``num_partitions``, when a
+            Parquet delivery's footers count over
+            ``cdc_replay.MERGE_ROWS_PER_TASK`` rows a task.  So a task holds
+            at most max(rows / num_partitions, MERGE_ROWS_PER_TASK) rows
+            (~100 B/row after normalize; the merge peaks near 0.8 KB/row):
+            pick ``num_partitions`` so rows / num_partitions fits a worker
+            heap — at 10^10 events that is 4096-16384 partitions.
         salt_buckets: sub-buckets for hot ``(repo, path)`` keys.  Salting is
             by ``hash(commit) % salt_buckets`` which preserves exactly-once
             (same change-id -> same bucket) while the last-writer-wins merge
@@ -88,9 +91,11 @@ class ReplaySpec:
     min_seq: int | None = None
     max_seq: int | None = None
     #: bounded merge state (SURVEY §7.5 item 1): a merge task whose
-    #: shuffled block exceeds this many rows merges it in key-hash slices
-    #: with streaming row-group writes, so the merge working set (sort +
-    #: prior join + outputs) stays O(cap) instead of O(block).  None = off.
+    #: shuffled block exceeds this many rows merges its partitions in runs
+    #: of at most this many rows, and a partition over it alone in key-hash
+    #: slices with streaming row-group writes, so the merge working set
+    #: (sort + prior join + outputs) stays O(cap) instead of O(block).
+    #: None = off.
     state_cap_rows: int | None = None
     #: run-level hooks — the stored-proc extension points the reference's
     #: handler invokes around a load (EK_PRE_HOOK / EK_POST_HOOK +

@@ -2,7 +2,7 @@
 
 Logical plan (one wide shuffle total):
 
-    read_parquet (pruned, <= B blocks)             # sources.read_changes
+    read_parquet (pruned, <= CPUs blocks)          # sources.read_changes
       -> map_batches(Normalizer, pyarrow, tasks)   # digest + validate + pkey
       -> [filter: skip committed partitions]       # resume path
       -> sort(pkey, B contiguous pkey ranges)      # THE shuffle
@@ -10,11 +10,13 @@ Logical plan (one wide shuffle total):
       -> [driver] fold hot-key winners             # tiny per-key reduce
       -> dims from the (already reduced) fact output
 
-The execution grain is B = min(num_partitions, cluster CPUs) merge tasks,
-set by the cluster, not by Ray's read split nor by the durable partition
-count: ``num_partitions`` part files, watermarks and manifests are as
-before, and a small delivery is read unsplit so Ray fuses the read with
-the Normalizer.
+The execution grain is B merge tasks (``merge_tasks``): one per cluster
+CPU, more when the delivery's Parquet footers count over
+``MERGE_ROWS_PER_TASK`` rows a task, never more than ``num_partitions``.
+It is set by the cluster and the delivery, not by Ray's read split nor by
+the durable partition count: ``num_partitions`` part files, watermarks and
+manifests are as before, and a small delivery is read unsplit so Ray
+fuses the read with the Normalizer.
 
 Reference lifecycle parity (dest/I2b2QueryResultsHandler.java): start() ->
 config + broadcast state; handleQueryResult -> Normalizer; finish() ->
@@ -130,10 +132,20 @@ def normalized(
     )
 
 
-def merge_tasks(num_partitions: int) -> int:
-    """B: the replay's merge tasks, one per CPU of the cluster and never
-    more than there are partitions."""
-    return max(1, min(num_partitions, cluster_cpus()))
+#: the most shuffled rows a merge task is given when the partitions allow:
+#: one merge call peaks at about 0.8 KB a row over its block (a 1M-row
+#: block: +0.76 GB; 250k rows: +0.21 GB)
+MERGE_ROWS_PER_TASK = 250_000
+
+
+def merge_tasks(num_partitions: int, rows: int = 0) -> int:
+    """B: the replay's merge tasks.  One per CPU of the cluster, more when
+    ``rows`` (the delivery's row count, when known) would give a task over
+    ``MERGE_ROWS_PER_TASK`` rows, and never more than there are partitions:
+    a task holds at most max(rows / num_partitions, MERGE_ROWS_PER_TASK)
+    rows, give or take the key skew."""
+    by_rows = -(-rows // MERGE_ROWS_PER_TASK)
+    return max(1, min(num_partitions, max(cluster_cpus(), by_rows)))
 
 
 def _merge_group(group: pa.Table, merger_kwargs: dict) -> pa.Table:
@@ -141,17 +153,17 @@ def _merge_group(group: pa.Table, merger_kwargs: dict) -> pa.Table:
 
 
 def merged_groups(
-    norm: rd.Dataset, merger_kwargs: dict, num_partitions: int | None = None
+    norm: rd.Dataset, merger_kwargs: dict, num_partitions: int | None = None, rows: int = 0
 ) -> rd.Dataset:
     """The exchange and the merge: a sort on ``pkey`` cut at explicit
-    boundaries into ``merge_tasks(num_partitions)`` contiguous pkey ranges
-    (no sampling pass; every range holds partitions), then one merge call
-    per range block.  A partition never straddles two blocks, since the
+    boundaries into ``merge_tasks(num_partitions, rows)`` contiguous pkey
+    ranges (no sampling pass; every range holds partitions), then one merge
+    call per range block.  A partition never straddles two blocks, since the
     sort partitions by value.  Without ``num_partitions`` the boundaries
     are sampled from the input blocks."""
     bounds = None
     if num_partitions:
-        b = merge_tasks(num_partitions)
+        b = merge_tasks(num_partitions, rows)
         bounds = [num_partitions * i // b for i in range(1, b)] or None
     # stateless tasks, like normalize: the merger's only state is the
     # broadcast watermark map, fetched from the local object store.
@@ -253,11 +265,10 @@ def _replay_impl(
     for f in glob.glob(os.path.join(spec.out_dir, "*.tmp-*")):
         os.remove(f)
 
-    changes = (
-        read_changes(input_path, max_blocks=merge_tasks(spec.num_partitions))
-        if isinstance(input_path, str)
-        else input_path
-    )
+    changes, rows = input_path, 0
+    if isinstance(input_path, str):
+        changes = read_changes(input_path)
+        rows = changes.count()  # from the Parquet footers: no read runs
     if spec.min_seq is not None or spec.max_seq is not None:
         # date-bound replay (reference DateTimeFilter analog): a vectorized
         # predicate right after the scan — rows outside the bound never
@@ -385,7 +396,7 @@ def _replay_impl(
         modifier_names=tuple(s.name for s in modifier_specs),
         state_cap_rows=spec.state_cap_rows,
     )
-    hot_rows_ds = merged_groups(norm, merger_kwargs, spec.num_partitions)
+    hot_rows_ds = merged_groups(norm, merger_kwargs, spec.num_partitions, rows)
 
     # hot winners: tiny (|hot keys| x salt_buckets rows) -> driver reduce
     # materialize() executes the merge exactly once; the result (hot-key

@@ -22,22 +22,13 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 
-#: rows a read block holds before a few-file log is split into more
-#: blocks than files (below it a split only adds a stage)
-ROWS_PER_BLOCK = 100_000
-
-
-def read_changes(
-    path: str | list[str], *, with_content: bool = True, max_blocks: int | None = None
-) -> rd.Dataset:
+def read_changes(path: str | list[str], *, with_content: bool = True) -> rd.Dataset:
     """Read a Parquet change log.
 
     Column pruning at the read: the merge pipeline never needs anything
     outside the change schema.  Ray's read_parquet tolerates the
     schema-evolution layout (later files carry ``size``) because downstream
     stages normalize every batch through ``schemas.ensure_columns``.
-
-    ``max_blocks`` caps the read's blocks (default: the cluster's CPUs).
     """
     import pyarrow.dataset as pads
 
@@ -54,11 +45,10 @@ def read_changes(
     # analog of the reference's ontology reconciliation
     # (dest/metadata/Metadata.java:424-513).
     frag_names: set[str] = set()
-    n_files = n_rows = 0
+    n_files = 0
     for frag in pads.dataset(path).get_fragments():
         frag_names.update(frag.physical_schema.names)
         n_files += 1
-        n_rows += frag.metadata.num_rows
     evolved = "size" in frag_names
     base = CHANGES_V2 if evolved else CHANGES
     if evolved:
@@ -68,16 +58,12 @@ def read_changes(
     # to read tasks, and asking for more blocks than files only recuts each
     # file's decoded output (a SplitBlocks step, which also keeps Ray from
     # fusing the read with the Normalizer that follows).  So the read asks
-    # for as many blocks as there are files, never more than the cap: a
-    # small delivery reads unsplit and fused, and a log with more files
-    # than CPUs reads several files per task.  Only a log with fewer files
-    # than the cap and more than ROWS_PER_BLOCK rows per block is split, up
-    # to the cap, for the Normalizer's parallelism.  The counts come from
-    # the Parquet footers.  Decode parallelism still equals the file
-    # count, so write logs as many bounded-size segments, not a few giant
-    # files.
-    cap = max_blocks or cluster_cpus()
-    blocks = min(cap, max(n_files, -(-n_rows // ROWS_PER_BLOCK), 1))
+    # for one block per file, never more than the cluster's CPUs: a small
+    # delivery reads unsplit and fused, and a log with more files than
+    # CPUs reads several files per task.  Decode parallelism is therefore
+    # at most the file count, so write logs as many bounded-size segments,
+    # not a few giant files.
+    blocks = max(1, min(n_files, cluster_cpus()))
     return rd.read_parquet(path, schema=schema, override_num_blocks=blocks)
 
 

@@ -6,9 +6,9 @@ src/main/resources/sql/mock_stored_procedures_h2.sql:22-92).
 Physical plan: ``ds.sort("pkey", boundaries=...)`` — a range exchange on the
 int32 partition key (the ONLY wide shuffle in the pipeline, ~100 B/row
 because content was digested in normalize) into one block per contiguous
-pkey range, as many ranges as the cluster has CPUs (at most one per
-partition); then one vectorized ``PartitionMerger`` call per block in a
-stateless task.  A block holds many partitions: the merge runs its chain
+pkey range, as many ranges as the cluster has CPUs, or more for a large
+delivery (``cdc_replay.merge_tasks``; at most one per partition); then
+one vectorized ``PartitionMerger`` call per block in a stateless task.  A block holds many partitions: the merge runs its chain
 once over all of them, keyed by ``(pkey, repo, path)``, and splits the
 outputs per partition only when it writes them.
 
@@ -239,8 +239,8 @@ class PartitionMerger:
 
     # -- pure vectorized core -------------------------------------------------
     def _merge(self, g: pl.DataFrame, pids: list, prior_rej=None, slice_spec=None) -> dict:
-        """The whole chain over the partitions ``pids`` of ``g`` (a block, or
-        one key-hash slice of it).  Every frame returned keeps ``pkey``;
+        """The whole chain over the partitions ``pids`` of ``g`` (a block, a
+        run of its partitions, or one key-hash slice of a partition).  Every frame returned keeps ``pkey``;
         ``counts`` holds per-partition counter parts for ``_totals``."""
         seq = pl.col("commit_seq")
         ev = g
@@ -336,29 +336,41 @@ class PartitionMerger:
             return _arrow(self._merge(g, pids)["change_fact"], CHANGE_FACT)
 
         # --- checkpoint mode -------------------------------------------------
-        # Bounded state (SURVEY §7.5 item 1): above state_cap_rows the block
-        # merges in key-hash slices — per-slice sort/prior-join/outputs are
-        # O(cap), streamed to the part files as row groups.
-        cap = self.state_cap_rows
-        n_slices = -(-len(g) // cap) if cap and len(g) > cap else 1
-        slice_ids = routing.slice_ids(routing.key_hash(g), n_slices) if n_slices > 1 else None
+        # Bounded state (SURVEY §7.5 item 1): with state_cap_rows the block's
+        # partitions merge in runs of at most cap rows, and a partition over
+        # the cap merges alone in key-hash slices streamed to its part files
+        # as row groups — so the merge working set is O(cap) and at most one
+        # partition's files are open at a time.
         prior_rej = self._prior_rejected(g) if self.mode == "update" else None
-        writers, hot, partials, counts = {}, [], [], []
-        for s_i in range(n_slices):
-            sub, spec = g, None
-            if slice_ids is not None:
-                sub, spec = g.filter(pl.Series(slice_ids == s_i)), (s_i, n_slices)
-            out = self._merge(sub, pids, prior_rej, spec)
-            for table, schema in _SCHEMAS.items():
-                if out[table] is None:
-                    continue
-                for (pid,), part in out[table].partition_by("pkey", as_dict=True).items():
-                    if (table, pid) not in writers:
-                        writers[table, pid] = _StreamingWriter(self._path(table, pid), schema)
-                    writers[table, pid].write(_arrow(part, schema))
-            hot.append(out["hot"])
-            partials.append(out["partials"])
-            counts.append(out["counts"])
+        hot, partials, counts, written = [], [], [], set()
+        for run in self._runs(g, pids):
+            sub = g if len(run) == len(pids) else g.filter(pl.col("pkey").is_in(run))
+            cap = self.state_cap_rows
+            n_slices = -(-len(sub) // cap) if cap and len(sub) > cap else 1
+            slice_ids = routing.slice_ids(routing.key_hash(sub), n_slices) if n_slices > 1 else None
+            writers = {}
+            for s_i in range(n_slices):
+                part, spec = sub, None
+                if slice_ids is not None:
+                    part, spec = sub.filter(pl.Series(slice_ids == s_i)), (s_i, n_slices)
+                out = self._merge(part, run, prior_rej, spec)
+                for table, schema in _SCHEMAS.items():
+                    if out[table] is None:
+                        continue
+                    for (pid,), rows in out[table].partition_by("pkey", as_dict=True).items():
+                        t, path = _arrow(rows, schema), self._path(table, pid)
+                        if slice_ids is None:
+                            _atomic_write(t, path)
+                        else:
+                            if path not in writers:
+                                writers[path] = _StreamingWriter(path, schema)
+                            writers[path].write(t)
+                        written.add((table, pid))
+                hot.append(out["hot"])
+                partials.append(out["partials"])
+                counts.append(out["counts"])
+            for w in writers.values():
+                w.close()
 
         dim_parts = self._fold_dim_partials(pl.concat(partials), pids)
         totals = self._totals(pl.concat(counts))
@@ -366,16 +378,30 @@ class PartitionMerger:
             # path_dim / change_fact part files are always (re)written, even
             # empty (the prior part file was consumed above); rejected /
             # archive only when rows exist
-            for table, schema in _SCHEMAS.items():
-                if (table, pid) in writers:
-                    writers[table, pid].close()
-                elif table in ("path_dim", "change_fact"):
-                    _atomic_write(schema.empty_table(), self._path(table, pid))
+            for table in ("path_dim", "change_fact"):
+                if (table, pid) not in written:
+                    _atomic_write(_SCHEMAS[table].empty_table(), self._path(table, pid))
             if pid in dim_parts:
                 _atomic_write(dim_parts[pid], self._path("_dimpart", pid))
             # the manifest commits the partition, so it is written last
             self._commit_manifest(pid, totals.get(pid, {}))
         return _arrow(pl.concat(hot), PATH_DIM)
+
+    def _runs(self, g: pl.DataFrame, pids: list) -> list:
+        """The block's partitions grouped into merge runs: one run of all of
+        them, or under ``state_cap_rows`` consecutive partitions packed up to
+        the cap (a partition over the cap is a run of its own)."""
+        cap = self.state_cap_rows
+        if not cap or len(g) <= cap:
+            return [pids]
+        runs, n = [[]], 0
+        for pid, k in g.group_by("pkey").len().sort("pkey").iter_rows():
+            if runs[-1] and n + k > cap:
+                runs.append([])
+                n = 0
+            runs[-1].append(pid)
+            n += k
+        return runs
 
     def _path(self, table: str, pid: int) -> str:
         """A partition's file of ``table``; per-run tables carry the run id."""

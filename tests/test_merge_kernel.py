@@ -39,8 +39,8 @@ def _tag(t: pa.Table) -> pa.Array:
 MODS = (ModifierSpec(name="TAG", extract=_tag),)
 
 
-def _changes(seq0: int, n: int, resend: int = 0) -> pa.Table:
-    """``n`` events from ``seq0`` over 3 repos x 12 paths plus a churned
+def _changes(seq0: int, n: int, resend: int = 0, paths: int = 12) -> pa.Table:
+    """``n`` events from ``seq0`` over 3 repos x ``paths`` paths plus a churned
     ``r0/hot.c``; every 17th has a blank path, every 29th a null
     ``commit_seq`` and every 11th is a tombstone.  The first ``resend``
     events of the window before ``seq0`` are sent again, and every tenth
@@ -48,7 +48,7 @@ def _changes(seq0: int, n: int, resend: int = 0) -> pa.Table:
     seqs = list(range(max(0, seq0 - resend), seq0 + n))
     rows = []
     for s in seqs:
-        path = "hot.c" if s % 4 == 0 else ("" if s % 17 == 0 else f"f{s % 12}.py")
+        path = "hot.c" if s % 4 == 0 else ("" if s % 17 == 0 else f"f{s % paths}.py")
         rows.append(
             dict(
                 repo=f"r{s % 3}" if path != "hot.c" else "r0", path=path, commit=f"c{s}",
@@ -90,11 +90,15 @@ def _assert_same_outputs(a: str, b: str) -> None:
         fa = sorted(os.path.basename(f) for f in glob.glob(os.path.join(a, table, "*")))
         fb = sorted(os.path.basename(f) for f in glob.glob(os.path.join(b, table, "*")))
         assert fa == fb, table
+        sides = {a: [], b: []}
         for name in fa:
-            ta = pq.read_table(os.path.join(a, table, name))
-            tb = pq.read_table(os.path.join(b, table, name))
-            assert ta.schema == tb.schema, (table, name)
-            assert_table_eq(ta, tb, ta.column_names)
+            for d, tables in sides.items():
+                t = pq.read_table(os.path.join(d, table, name))
+                tables.append(t.append_column("_file", pa.array([name] * len(t))))
+            assert sides[a][-1].schema == sides[b][-1].schema, (table, name)
+        if fa:
+            ta, tb = (pa.concat_tables(t, promote_options="default") for t in sides.values())
+            assert_table_eq(ta, tb, ["_file", *ta.column_names])
     ma = sorted(glob.glob(os.path.join(a, "_manifest", "part-*.json")))
     assert ma, "no manifest written"
     for f in ma:
@@ -177,3 +181,36 @@ def test_block_merge_filters_each_partition_by_its_own_watermark():
     )
     assert_table_eq(got, want, got.column_names)
     assert 0 < pc.min(got["commit_seq"]).as_py() < max(wms.values())
+
+
+def test_block_of_many_partitions_keeps_few_files_open(tmp_path, monkeypatch):
+    """A block holding hundreds of partitions (far more partitions than
+    merge tasks) writes what per-pkey calls write, and keeps at most one
+    partition's streaming writers open at a time: none without
+    ``state_cap_rows``, and under it only a partition over the cap streams."""
+    norm = Normalizer(512, S, ray.put(HOT), MODS)
+    base = norm(_changes(0, 250, paths=250))
+    tail = norm(_changes(250, 80, resend=40, paths=250))
+    assert len(pc.unique(base["pkey"])) > 150
+
+    open_now, most = [0], {}
+
+    class CountingWriter(pq.ParquetWriter):
+        def __init__(self, *a, **kw):
+            super().__init__(*a, **kw)
+            open_now[0] += 1
+            most[side] = max(most.get(side, 0), open_now[0])
+
+        def close(self):
+            super().close()
+            open_now[0] -= 1
+
+    monkeypatch.setattr(merge.pq, "ParquetWriter", CountingWriter)
+    for mode, batch, run in (("replace", base, "m1"), ("update", tail, "m2")):
+        for side, per_pkey, cap in (("block", False, 10), ("pkeys", True, 10), ("uncapped", False, None)):
+            _apply(str(tmp_path / side), batch, per_pkey, mode=mode, run_id=run, state_cap_rows=cap)
+    # both runs' per-run files and the update's part files and manifests
+    _assert_same_outputs(str(tmp_path / "block"), str(tmp_path / "pkeys"))
+    _assert_same_outputs(str(tmp_path / "uncapped"), str(tmp_path / "pkeys"))
+    assert open_now[0] == 0
+    assert 0 < most["block"] <= len(merge._SCHEMAS) and "uncapped" not in most

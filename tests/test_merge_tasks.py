@@ -154,3 +154,45 @@ def test_replay_reads_fused_and_merges_in_one_task_per_range(tmp_path, tiny_chan
     assert b == min(spec.num_partitions, int(ray.cluster_resources()["CPU"])) > 1
     assert ("TaskPoolMapOperator", "ReadParquet->MapBatches(Normalizer)") in plans, plans
     assert f"MapBatches(_merge_group): {b} tasks executed" in stats[0], stats[0]
+
+
+def test_merge_tasks_bound_the_rows_of_a_task(monkeypatch):
+    """B is one task per CPU, more when the delivery's rows would give a
+    task over ``MERGE_ROWS_PER_TASK``, and never more than the partitions
+    (a head node that reports no CPUs counts as one)."""
+    cap = cdc_replay.MERGE_ROWS_PER_TASK
+    monkeypatch.setattr(cdc_replay, "cluster_cpus", lambda: 4)
+    assert cdc_replay.merge_tasks(64) == 4
+    assert cdc_replay.merge_tasks(2) == 2
+    assert cdc_replay.merge_tasks(64, 4 * cap) == 4
+    assert cdc_replay.merge_tasks(64, 10 * cap) == 10
+    assert cdc_replay.merge_tasks(8, 10 * cap) == 8
+    monkeypatch.setattr(cdc_replay, "cluster_cpus", lambda: 1)
+    assert cdc_replay.merge_tasks(64, 3 * cap + 1) == 4
+
+
+def test_replay_sizes_merge_tasks_from_the_footer_row_count(tmp_path, tiny_changes, monkeypatch):
+    """A delivery whose footers count more rows than the CPUs' tasks may
+    hold runs more merge tasks than CPUs, each over its own pkey range."""
+    import glob
+
+    import ray
+
+    rows = sum(pq.read_metadata(f).num_rows for f in glob.glob(f"{tiny_changes}/*.parquet"))
+    cpus = int(ray.cluster_resources()["CPU"])
+    monkeypatch.setattr(cdc_replay, "MERGE_ROWS_PER_TASK", -(-rows // (cpus + 2)))
+    stats = []
+    orig = cdc_replay.merged_groups
+
+    def capture(*args, **kwargs):
+        ds = orig(*args, **kwargs).materialize()
+        stats.append(ds.stats())
+        return ds
+
+    monkeypatch.setattr(cdc_replay, "merged_groups", capture)
+    spec = ReplaySpec(out_dir=str(tmp_path / "out"), num_partitions=16, salt_buckets=1)
+    summary = cdc_replay.replay(tiny_changes, spec)
+    assert cdc_replay.merge_tasks(spec.num_partitions, rows) == cpus + 2
+    assert f"MapBatches(_merge_group): {cpus + 2} tasks executed" in stats[0], stats[0]
+    assert len(glob.glob(str(tmp_path / "out" / "_manifest" / "part-*.json"))) == 16
+    assert summary["lineage"]["rows_applied"] > 0
