@@ -11,8 +11,8 @@ history rather than the final star.
 
 All three follow the catalog's exchange discipline: a per-block vectorized
 partial (projection + distinct) shrinks the stream map-side, ONE keyed
-exchange moves the bounded partials, and the per-group fold is a polars
-kernel over the whole group (the ``cdc_state_diff``/``scd2`` pattern).
+``keyed_fold`` moves the bounded partials, and one polars kernel folds
+all the keys of a block (the ``cdc_state_diff``/``scd2`` pattern).
 Every output column is an exact integer or string, so the driver's
 value-hash compare is drift-proof.
 """
@@ -23,6 +23,7 @@ import pyarrow as pa
 import ray.data as rd
 
 from ..sources.changes import CHANGES_FROM_EVENTS_SQL, changes_from_events
+from ..stages.exchange import keyed_fold
 from .cdc_queries import _VALID
 
 #: co-change session width in commit_seq units.  A session is (repo,
@@ -57,12 +58,10 @@ def cdc_cochange(sf_dir: str) -> "rd.Dataset":
 
     Physical plan: per-block distinct (repo, bkt, path) triples map-side
     (redelivered rows and within-block repeats collapse before anything
-    moves), ONE exchange keyed on ``bucket_hash(repo, bkt)`` — NOT on the
-    session key itself: at sf0.1 the (repo, bkt) grouping already makes
-    ~15k tiny groups and Ray's per-group map_groups machinery dominated
-    the wall clock (8.4 s), so sessions are folded a hash-bucket at a
-    time (each task expands MANY sessions: boundaries via one run-length
-    scan, triangular indices cached per session size) — then a
+    moves), ONE ``keyed_fold`` on (repo, bkt): each task expands MANY
+    sessions (boundaries via one run-length scan, triangular indices
+    cached per session size), never one task per session — at sf0.1 the
+    (repo, bkt) grouping makes ~15k tiny sessions — then a
     combiner-first pair count (per-block partial, then a pair-bounded
     groupby-sum).  The pair space is bounded by the distinct
     paths per session, NOT the stream: session width is a config constant,
@@ -81,7 +80,6 @@ def cochange_table(
     bucket: int = COCHANGE_BUCKET,
     min_sessions: int = 2,
     max_session_paths: int | None = None,
-    num_buckets: int = 32,
 ) -> "rd.Dataset":
     """Core of ``cdc_cochange`` over any change stream; split out so tests
     can drive crafted streams and the mega-session cap."""
@@ -89,12 +87,11 @@ def cochange_table(
 
     from ray.data.aggregate import Sum
 
-    from ..functions.hashing import bucket_hash
     from ..util import empty_frame
 
     def session_partial(t: pa.Table) -> pa.Table:
         t = _valid_mask(t)
-        t = (
+        return (
             pl.from_arrow(t.select(["repo", "path", "commit_seq"]))
             .select(
                 "repo",
@@ -104,7 +101,6 @@ def cochange_table(
             .unique()
             .to_arrow()
         )
-        return t.append_column("_sb", bucket_hash(t, ["repo", "bkt"], num_buckets))
 
     _EMPTY_PAIRS = pa.table(
         {
@@ -115,7 +111,7 @@ def cochange_table(
     )
 
     def expand_bucket(g: pa.Table) -> pa.Table:
-        """All sessions hashed to this bucket at once: one sort, one
+        """All sessions of this block at once: one sort, one
         run-length boundary scan, cached triangular indices per session
         size — no per-session task or table-slice overhead."""
         import numpy as np
@@ -189,16 +185,10 @@ def cochange_table(
             )
         return t.filter(pc.greater_equal(t["n_sessions"], min_sessions))
 
-    # NOTE on block layout: an explicit repartition() ahead of the
-    # groupby was A/B-tested at sf0.1 (interleaved best-of-2) and LOST —
-    # Ray's repartition is itself a full exchange, and its fixed round
-    # cost (6.4 s vs 4.6 s end-to-end) exceeds what the consolidated
-    # sort saves on these distinct-bounded partials.  Two exchanges,
-    # both over pre-shrunk tables, is the floor for this read.
+    # two exchanges, both over pre-shrunk tables, is the floor for this read
+    sessions = changes.map_batches(session_partial, batch_format="pyarrow")
     out = (
-        changes.map_batches(session_partial, batch_format="pyarrow")
-        .groupby("_sb")
-        .map_groups(expand_bucket, batch_format="pyarrow")
+        keyed_fold(sessions, ["repo", "bkt"], expand_bucket)
         .map_batches(count_partial, batch_format="pyarrow")
         .groupby(["repo", "path_a", "path_b"])
         .aggregate(Sum("pn", alias_name="n_sessions"))
@@ -240,51 +230,81 @@ def cdc_ownership(sf_dir: str) -> "rd.Dataset":
     Physical plan: per-block distinct (repo, path, commit, author_id)
     map-side (a redelivered change-id is an exact row copy, so the
     4-tuple distinct IS change-id dedup once folded globally), one
-    exchange keyed on ``bucket_hash(repo, path)`` — NOT repo (the scd2
-    keying: a mega-repo spreads its paths over all buckets instead of
-    pinning one task), and a per-bucket polars fold: global change-id
+    ``keyed_fold`` on (repo, path) — NOT repo (the scd2 keying: a
+    mega-repo spreads its paths over all tasks instead of pinning one),
+    and a per-block polars fold: global change-id
     dedup, per-(path, author) counts, then one row per path with the
     argmax author.  Output is path-bounded."""
     return ownership_table(changes_from_events(sf_dir))
 
 
-def ownership_counts(changes: "rd.Dataset", *, num_buckets: int = 32) -> "rd.Dataset":
+def _ownership_partial(t: pa.Table) -> pa.Table:
+    """Per-block distinct (repo, path, commit, author_id) of valid rows."""
+    import polars as pl
+
+    t = _valid_mask(t).select(["repo", "path", "commit", "author_id"])
+    return pl.from_arrow(t).unique().to_arrow()
+
+
+def _author_counts(g: pa.Table):
+    """Cross-block change-id dedup, then one (repo, path, author_id, n)
+    row per author-path pair."""
+    import polars as pl
+
+    return (
+        pl.from_arrow(g.select(["repo", "path", "commit", "author_id"]))
+        .unique(["repo", "path", "commit"])
+        .group_by(["repo", "path", "author_id"])
+        .agg(pl.len().cast(pl.Int64).alias("n"))
+    )
+
+
+def _top_authors(df) -> pa.Table:
+    """One row per path with the top author (ties to min author_id)."""
+    import polars as pl
+
+    return (
+        df.sort(["n", "author_id"], descending=[True, False])
+        .group_by(["repo", "path"], maintain_order=True)
+        .agg(
+            pl.len().cast(pl.Int64).alias("n_authors"),
+            pl.col("n").sum().alias("n_changes"),
+            pl.col("author_id").first().alias("top_author_id"),
+            pl.col("n").first().alias("top_changes"),
+        )
+        .to_arrow()
+    )
+
+
+def _ownership_or_empty(out: "rd.Dataset") -> "rd.Dataset":
+    from ..util import empty_frame
+
+    out = out.materialize()  # path-bounded (one row per live-or-dead path)
+    if out.count() == 0:
+        return empty_frame(
+            repo="string",
+            path="string",
+            n_authors="int64",
+            n_changes="int64",
+            top_author_id="string",
+            top_changes="int64",
+        )
+    return out
+
+
+def ownership_counts(changes: "rd.Dataset") -> "rd.Dataset":
     """The MERGEABLE census partial: one (repo, path, author_id, n) row
-    per author-path pair, with change-id dedup done inside the bucket
+    per author-path pair, with change-id dedup done inside the keyed
     fold.  Two counts tables from seq-disjoint stream segments can be
     unioned and re-folded (``ownership_from_counts``) into the same
     result as a full recompute — the incremental/streaming contract
-    ``cdc_ownership_incremental`` hash-checks.  The ``_b`` bucket column
-    is kept on the output so a downstream re-fold shuffles by it
-    directly."""
-    import polars as pl
-
-    from ..functions.hashing import bucket_hash
-
-    def partial(t: pa.Table) -> pa.Table:
-        t = _valid_mask(t)
-        t = (
-            pl.from_arrow(t.select(["repo", "path", "commit", "author_id"]))
-            .unique()
-            .to_arrow()
-        )
-        return t.append_column("_b", bucket_hash(t, ["repo", "path"], num_buckets))
+    ``cdc_ownership_incremental`` hash-checks."""
 
     def count_fold(g: pa.Table) -> pa.Table:
-        t = (
-            pl.from_arrow(g.drop_columns(["_b"]))
-            .unique(["repo", "path", "commit"])  # cross-block change-id dedup
-            .group_by(["repo", "path", "author_id"])
-            .agg(pl.len().cast(pl.Int64).alias("n"))
-            .to_arrow()
-        )
-        return t.append_column("_b", bucket_hash(t, ["repo", "path"], num_buckets))
+        return _author_counts(g).to_arrow()
 
-    return (
-        changes.map_batches(partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(count_fold, batch_format="pyarrow")
-    )
+    partials = changes.map_batches(_ownership_partial, batch_format="pyarrow")
+    return keyed_fold(partials, ["repo", "path"], count_fold)
 
 
 def ownership_from_counts(counts: "rd.Dataset") -> "rd.Dataset":
@@ -293,99 +313,28 @@ def ownership_from_counts(counts: "rd.Dataset") -> "rd.Dataset":
     then one row per path with the top author (ties to min author_id)."""
     import polars as pl
 
-    from ..util import empty_frame
-
     def fold(g: pa.Table) -> pa.Table:
         df = (
-            pl.from_arrow(g.drop_columns(["_b"]))
+            pl.from_arrow(g.select(["repo", "path", "author_id", "n"]))
             .group_by(["repo", "path", "author_id"])
             .agg(pl.col("n").sum().alias("n"))
         )
-        return (
-            df.sort(["n", "author_id"], descending=[True, False])
-            .group_by(["repo", "path"], maintain_order=True)
-            .agg(
-                pl.len().cast(pl.Int64).alias("n_authors"),
-                pl.col("n").sum().alias("n_changes"),
-                pl.col("author_id").first().alias("top_author_id"),
-                pl.col("n").first().alias("top_changes"),
-            )
-            .to_arrow()
-        )
+        return _top_authors(df)
 
-    out = (
-        counts.groupby("_b")
-        .map_groups(fold, batch_format="pyarrow")
-        .materialize()  # path-bounded (one row per live-or-dead path)
-    )
-    if out.count() == 0:
-        return empty_frame(
-            repo="string",
-            path="string",
-            n_authors="int64",
-            n_changes="int64",
-            top_author_id="string",
-            top_changes="int64",
-        )
-    return out
+    return _ownership_or_empty(keyed_fold(counts, ["repo", "path"], fold))
 
 
-def ownership_table(changes: "rd.Dataset", *, num_buckets: int = 32) -> "rd.Dataset":
+def ownership_table(changes: "rd.Dataset") -> "rd.Dataset":
     """Single-exchange plan for the full-stream census: dedup, count and
-    argmax all happen inside ONE bucket fold (``ownership_counts`` +
-    ``ownership_from_counts`` would pay a second exchange on the already-
-    partitioned counts — Ray cannot see that the fold output is still
-    bucket-partitioned; the two-step path exists for merging persisted
-    segment partials, where the extra exchange is the point)."""
-    import polars as pl
-
-    from ..functions.hashing import bucket_hash
-    from ..util import empty_frame
-
-    def partial(t: pa.Table) -> pa.Table:
-        t = _valid_mask(t)
-        t = (
-            pl.from_arrow(t.select(["repo", "path", "commit", "author_id"]))
-            .unique()
-            .to_arrow()
-        )
-        return t.append_column("_b", bucket_hash(t, ["repo", "path"], num_buckets))
+    argmax all happen inside ONE keyed fold (``ownership_counts`` +
+    ``ownership_from_counts`` pays a second exchange; that two-step path
+    exists for merging persisted segment partials)."""
 
     def fold(g: pa.Table) -> pa.Table:
-        df = (
-            pl.from_arrow(g.drop_columns(["_b"]))
-            .unique(["repo", "path", "commit"])  # cross-block change-id dedup
-            .group_by(["repo", "path", "author_id"])
-            .agg(pl.len().cast(pl.Int64).alias("n"))
-        )
-        return (
-            df.sort(["n", "author_id"], descending=[True, False])
-            .group_by(["repo", "path"], maintain_order=True)
-            .agg(
-                pl.len().cast(pl.Int64).alias("n_authors"),
-                pl.col("n").sum().alias("n_changes"),
-                pl.col("author_id").first().alias("top_author_id"),
-                pl.col("n").first().alias("top_changes"),
-            )
-            .to_arrow()
-        )
+        return _top_authors(_author_counts(g))
 
-    out = (
-        changes.map_batches(partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(fold, batch_format="pyarrow")
-        .materialize()  # path-bounded (one row per live-or-dead path)
-    )
-    if out.count() == 0:
-        return empty_frame(
-            repo="string",
-            path="string",
-            n_authors="int64",
-            n_changes="int64",
-            top_author_id="string",
-            top_changes="int64",
-        )
-    return out
+    partials = changes.map_batches(_ownership_partial, batch_format="pyarrow")
+    return _ownership_or_empty(keyed_fold(partials, ["repo", "path"], fold))
 
 
 def cdc_ownership_incremental(sf_dir: str) -> "rd.Dataset":
@@ -461,8 +410,8 @@ def cdc_path_lifetimes(sf_dir: str) -> "rd.Dataset":
     (complementing ``cdc_tombstone_gc``) and flags flapping paths.
 
     Physical plan: per-block distinct (repo, path, commit_seq, op)
-    map-side, one exchange keyed on ``bucket_hash(repo, path)`` (the
-    scd2 keying — mega-repos spread over all buckets), per-bucket polars
+    map-side, one ``keyed_fold`` on (repo, path) (the scd2 keying —
+    mega-repos spread over all tasks), per-block polars
     fold with the ops sorted by seq inside each (repo, path) group and
     the D->not-D transition counted via a shifted comparison — the LAG
     window re-expressed as a vectorized in-group shift (the scd2
@@ -470,26 +419,22 @@ def cdc_path_lifetimes(sf_dir: str) -> "rd.Dataset":
     return path_lifetimes_table(changes_from_events(sf_dir))
 
 
-def path_lifetimes_table(
-    changes: "rd.Dataset", *, num_buckets: int = 32
-) -> "rd.Dataset":
+def path_lifetimes_table(changes: "rd.Dataset") -> "rd.Dataset":
     import polars as pl
 
-    from ..functions.hashing import bucket_hash
     from ..util import empty_frame
 
     def partial(t: pa.Table) -> pa.Table:
         t = _valid_mask(t)
-        t = (
+        return (
             pl.from_arrow(t.select(["repo", "path", "commit_seq", "op"]))
             .unique()
             .to_arrow()
         )
-        return t.append_column("_b", bucket_hash(t, ["repo", "path"], num_buckets))
 
     def fold(g: pa.Table) -> pa.Table:
         df = (
-            pl.from_arrow(g.drop_columns(["_b"]))
+            pl.from_arrow(g.select(["repo", "path", "commit_seq", "op"]))
             # change-id dedup: commit <-> commit_seq is 1:1 in the stream,
             # and a redelivered row is an exact copy, so distinct
             # (repo, path, commit_seq) keeps one op per change-id
@@ -512,12 +457,8 @@ def path_lifetimes_table(
             .to_arrow()
         )
 
-    out = (
-        changes.map_batches(partial, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(fold, batch_format="pyarrow")
-        .materialize()  # path-bounded
-    )
+    partials = changes.map_batches(partial, batch_format="pyarrow")
+    out = keyed_fold(partials, ["repo", "path"], fold).materialize()  # path-bounded
     if out.count() == 0:
         return empty_frame(
             repo="string",

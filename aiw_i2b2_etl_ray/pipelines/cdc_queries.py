@@ -618,9 +618,6 @@ WHERE (live_a AND live_b AND sha_before <> sha_after)
 """
 
 
-_SCD2_BUCKETS = 32
-
-
 def cdc_scd2(sf_dir: str) -> rd.Dataset:
     """Type-2 (SCD2) history read: one validity interval per content
     VERSION of each (repo, path) — ``valid_from_seq`` is the version's
@@ -633,12 +630,12 @@ def cdc_scd2(sf_dir: str) -> rd.Dataset:
     DDL); here it is materialized as explicit intervals.
 
     Scale plan: an interval chain needs only ITS OWN key's rows
-    co-located, so the shuffle key is ``bucket_hash(repo, path)`` — NOT
-    ``repo`` (a mega-repo would pin one task; the bucket hash spreads its
-    paths over all buckets with no skew).  Inside a bucket the whole
-    chain computation is one vectorized polars sort + ``shift(-1) over
-    (repo, path)`` — no per-key Python loop.  One keyed exchange total,
-    carrying only the 5 projected columns."""
+    co-located, so the ``keyed_fold`` key is (repo, path) — NOT ``repo``
+    (a mega-repo would pin one task; hashing the path spreads its paths
+    over all tasks).  Inside a block the whole chain computation is one
+    vectorized polars sort + ``shift(-1) over (repo, path)`` — no per-key
+    Python loop.  One keyed exchange total, carrying only the 5 projected
+    columns."""
     return scd2_table(_fact_cached(sf_dir))
 
 
@@ -646,13 +643,7 @@ def scd2_table(facts: rd.Dataset) -> rd.Dataset:
     """Core of ``cdc_scd2`` over any deduped fact Dataset (see there)."""
     import polars as pl
 
-    from ..functions.hashing import bucket_hash
-
-    def prep(t: pa.Table) -> pa.Table:
-        t = t.select(["repo", "path", "commit_seq", "op", "content_sha256"])
-        return t.append_column(
-            "_b", bucket_hash(t, ["repo", "path"], _SCD2_BUCKETS)
-        )
+    from ..stages.exchange import keyed_fold
 
     def intervals(g: pa.Table) -> pa.Table:
         df = pl.from_arrow(
@@ -679,11 +670,8 @@ def scd2_table(facts: rd.Dataset) -> rd.Dataset:
             .to_arrow()
         )
 
-    return (
-        facts.map_batches(prep, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(intervals, batch_format="pyarrow")
-    )
+    facts = facts.select_columns(["repo", "path", "commit_seq", "op", "content_sha256"])
+    return keyed_fold(facts, ["repo", "path"], intervals)
 
 
 SQL_SCD2 = f"""

@@ -5,8 +5,9 @@ Logical plan (one wide shuffle total):
     read_parquet (pruned, <= CPUs blocks)          # sources.read_changes
       -> map_batches(Normalizer, pyarrow, tasks)   # digest + validate + pkey
       -> [filter: skip committed partitions]       # resume path
-      -> sort(pkey, B contiguous pkey ranges)      # THE shuffle
-      -> map_batches(_merge_group, one per range)  # merge, many pkeys a call
+      -> keyed_fold(pkey, B contiguous ranges)     # THE shuffle:
+           sort at explicit boundaries,            #   stages.exchange
+           map_batches(_merge_group, one per range)  # many pkeys a call
       -> [driver] fold hot-key winners             # tiny per-key reduce
       -> dims from the (already reduced) fact output
 
@@ -41,6 +42,7 @@ from ..config import ReplaySpec, out_paths
 from ..sources.changes import read_changes
 from ..stages import dims as dims_mod
 from ..stages import routing
+from ..stages.exchange import keyed_fold
 from ..stages.merge import PartitionMerger, reduce_hot_rows
 from ..stages.normalize import Normalizer
 from ..state import manifest as mf
@@ -153,26 +155,20 @@ def _merge_group(group: pa.Table, merger_kwargs: dict) -> pa.Table:
 
 
 def merged_groups(
-    norm: rd.Dataset, merger_kwargs: dict, num_partitions: int | None = None, rows: int = 0
+    norm: rd.Dataset, merger_kwargs: dict, num_partitions: int, rows: int = 0
 ) -> rd.Dataset:
-    """The exchange and the merge: a sort on ``pkey`` cut at explicit
-    boundaries into ``merge_tasks(num_partitions, rows)`` contiguous pkey
-    ranges (no sampling pass; every range holds partitions), then one merge
-    call per range block.  A partition never straddles two blocks, since the
-    sort partitions by value.  Without ``num_partitions`` the boundaries
-    are sampled from the input blocks."""
-    bounds = None
-    if num_partitions:
-        b = merge_tasks(num_partitions, rows)
-        bounds = [num_partitions * i // b for i in range(1, b)] or None
-    # stateless tasks, like normalize: the merger's only state is the
-    # broadcast watermark map, fetched from the local object store.
-    return norm.sort("pkey", boundaries=bounds).map_batches(
+    """The exchange and the merge: a keyed fold on ``pkey`` into
+    ``merge_tasks(num_partitions, rows)`` contiguous pkey ranges, one merge
+    call per range block.  A partition never straddles two blocks.  Stateless
+    tasks, like normalize: the merger's only state is the broadcast
+    watermark map, fetched from the local object store."""
+    return keyed_fold(
+        norm,
+        "pkey",
         _merge_group,
-        batch_size=None,
+        num_partitions,
+        tasks=merge_tasks(num_partitions, rows),
         fn_kwargs={"merger_kwargs": merger_kwargs},
-        batch_format="pyarrow",
-        **worker_runtime_env(),
     )
 
 

@@ -9,7 +9,7 @@ hash-defined and rows-only checked.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
+import polars as pl
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
@@ -17,39 +17,37 @@ import ray.data as rd
 from ..functions import sketch
 from ..functions.hashing import sha256_hex
 from ..functions.numeric import round_half_away
+from ..stages.exchange import keyed_fold
 from ..util import worker_runtime_env
 
 # --- exact dedup ------------------------------------------------------------
 
 
-def _keep_first_by(key: str):
-    """First-writer-wins per-digest reducer (ST3), shared by dedup_exact
-    and dedup_normalized: min doc_id survives, copies counted."""
-
-    def keep_first(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                key: [g[key].iloc[0]],
-                "keep_doc_id": [g["doc_id"].min()],
-                "n_copies": [np.int64(len(g))],
-            }
+def keep_first(block: pa.Table, key: str) -> pa.Table:
+    """First-writer-wins per digest (ST3), shared by dedup_exact and
+    dedup_normalized: min doc_id survives, copies counted."""
+    return (
+        pl.from_arrow(block.select([key, "doc_id"]))
+        .group_by(key)
+        .agg(
+            pl.col("doc_id").min().alias("keep_doc_id"),
+            pl.len().cast(pl.Int64).alias("n_copies"),
         )
-
-    return keep_first
+        .to_arrow()
+    )
 
 
 def dedup_exact(sf_dir: str) -> rd.Dataset:
-    """Exact dedup: sha256(text) -> hash-partition groupby -> keep min
+    """Exact dedup: sha256(text) -> keyed fold on the digest -> keep min
     doc_id per digest (first-writer-wins, the provider-dedup pattern ST3)."""
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def digest(t: pa.Table) -> pa.Table:
         return pa.table({"doc_id": t["doc_id"], "text_sha256": sha256_hex(t["text"])})
 
-    return (
-        ds.map_batches(digest, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("text_sha256")
-        .map_groups(_keep_first_by("text_sha256"), batch_format="pandas")
+    digests = ds.map_batches(digest, batch_format="pyarrow", zero_copy_batch=True)
+    return keyed_fold(
+        digests, ["text_sha256"], keep_first, fn_kwargs={"key": "text_sha256"}
     )
 
 
@@ -293,6 +291,11 @@ def minhash_pairs_cached(sf_dir: str) -> rd.Dataset:
     return ds
 
 
+def distinct_pairs(block: pa.Table) -> pa.Table:
+    """The block's distinct (doc_a, doc_b) candidate pairs."""
+    return pl.from_arrow(block.select(["doc_a", "doc_b"])).unique().to_arrow()
+
+
 def verify_candidate_pairs(cands: rd.Dataset, docs: rd.Dataset) -> rd.Dataset:
     """Exact-verify LSH candidate id pairs against the corpus texts.
 
@@ -396,9 +399,7 @@ def verify_candidate_pairs(cands: rd.Dataset, docs: rd.Dataset) -> rd.Dataset:
             )
         pairs_ds = rd.from_arrow(pa.Table.from_pandas(pairs, preserve_index=False))
     else:
-        pairs_ds = cands.groupby(["doc_a", "doc_b"]).map_groups(
-            lambda g: g.slice(0, 1), batch_format="pyarrow"
-        )
+        pairs_ds = keyed_fold(cands, ["doc_a", "doc_b"], distinct_pairs)
         docs_small = docs
     docs_a = docs_small.map_batches(
         lambda t: pa.table({"doc_a": t["doc_id"], "text_a": t["text"]}),
@@ -479,6 +480,9 @@ def dedup_simhash(sf_dir: str) -> rd.Dataset:
 
 
 NGRAM_BLOCK_CAP = 1024  # all-pairs bound; larger blocks switch to LSH prefilter
+_NGRAM_PAIRS = pa.schema(
+    [("doc_a", pa.int64()), ("doc_b", pa.int64()), ("jaccard", pa.float64())]
+)
 
 
 def dedup_ngram_jaccard(sf_dir: str) -> rd.Dataset:
@@ -511,10 +515,10 @@ def dedup_ngram_jaccard(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    def block_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("doc_id")
+    def group_pairs(g: pl.DataFrame) -> pa.Table:
+        g = g.sort("doc_id")
         ids = g["doc_id"].to_numpy()
-        texts = pa.array(g["text"].tolist(), pa.string())
+        texts = g["text"].to_arrow().cast(pa.string())
         flat, offsets = sketch._batch_shingle_hashes(texts, 3)
         sets = [
             np.unique(flat[offsets[i] : offsets[i + 1]]) for i in range(len(g))
@@ -523,10 +527,7 @@ def dedup_ngram_jaccard(sf_dir: str) -> rd.Dataset:
         ids, sets = ids[nonempty], [s for s, m in zip(sets, nonempty) if m]
         n = len(ids)
         if n < 2:
-            return pd.DataFrame(
-                {"doc_a": pd.Series(dtype="int64"), "doc_b": pd.Series(dtype="int64"),
-                 "jaccard": pd.Series(dtype="float64")}
-            )
+            return _NGRAM_PAIRS.empty_table()
         if n <= NGRAM_BLOCK_CAP:
             iu = np.triu_indices(n, k=1)
             cand = zip(iu[0].tolist(), iu[1].tolist())
@@ -559,19 +560,22 @@ def dedup_ngram_jaccard(sf_dir: str) -> rd.Dataset:
                 rows_a.append(int(ids[i]))
                 rows_b.append(int(ids[j]))
                 rows_j.append(jac)
-        return pd.DataFrame(
+        return pa.table(
             {
-                "doc_a": pd.Series(rows_a, dtype="int64"),
-                "doc_b": pd.Series(rows_b, dtype="int64"),
+                "doc_a": pa.array(rows_a, pa.int64()),
+                "doc_b": pa.array(rows_b, pa.int64()),
                 "jaccard": round_half_away(np.array(rows_j, dtype=np.float64), 4),
-            }
+            },
+            schema=_NGRAM_PAIRS,
         )
 
-    return (
-        ds.map_batches(add_block, batch_format="pyarrow")
-        .groupby(["lang", "len_block"])
-        .map_groups(block_pairs, batch_format="pandas")
-    )
+    def block_pairs(block: pa.Table) -> pa.Table:
+        df = pl.from_arrow(block.select(["doc_id", "text", "lang", "len_block"]))
+        keys = ["lang", "len_block"]
+        return pa.concat_tables([group_pairs(g) for g in df.partition_by(keys)])
+
+    blocked = ds.map_batches(add_block, batch_format="pyarrow")
+    return keyed_fold(blocked, ["lang", "len_block"], block_pairs)
 
 
 SQL_DEDUP_NGRAM_JACCARD = f"""
@@ -599,6 +603,27 @@ WHERE CAST(i.i AS DOUBLE)/(sa.n + sb.n - i.i) >= {JACCARD_TAU}
 # Real embedding spaces would use ~0.9+.
 COSINE_TAU = 0.4
 
+_COSINE_PAIRS = pa.schema(
+    [("vec_a", pa.int64()), ("vec_b", pa.int64()), ("cosine", pa.float64())]
+)
+
+
+def _cosine_pairs(ids: np.ndarray, m: np.ndarray) -> pa.Table:
+    """Pairs (a < b in ``ids`` order) of one block's normalized rows ``m``
+    with cosine >= COSINE_TAU; a vector never pairs with itself."""
+    cos = m @ m.T
+    iu = np.triu_indices(len(ids), k=1)
+    mask = (cos[iu] >= COSINE_TAU) & (ids[iu[0]] != ids[iu[1]])
+    return pa.table(
+        {
+            "vec_a": ids[iu[0][mask]].astype(np.int64),
+            "vec_b": ids[iu[1][mask]].astype(np.int64),
+            "cosine": round_half_away(cos[iu][mask], 4),
+        },
+        schema=_COSINE_PAIRS,
+    )
+
+
 
 def dedup_embedding(sf_dir: str) -> rd.Dataset:
     """Embedding near-dup: within-label blocking, per-block numpy matmul,
@@ -607,33 +632,17 @@ def dedup_embedding(sf_dir: str) -> rd.Dataset:
     the per-block pair Dataset (never driver-materialized)."""
     ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet")
 
-    _empty = pd.DataFrame(
-        {
-            "vec_a": pd.Series(dtype="int64"),
-            "vec_b": pd.Series(dtype="int64"),
-            "cosine": pd.Series(dtype="float64"),
-        }
-    )
+    def block_pairs(block: pa.Table) -> pa.Table:
+        df = pl.from_arrow(block.select(["vec_id", "label", "embedding"]))
+        out = []
+        for g in df.partition_by("label"):
+            g = g.sort("vec_id")
+            m = np.stack(g["embedding"].to_numpy()).astype(np.float64)
+            m /= np.linalg.norm(m, axis=1, keepdims=True) + 1e-12
+            out.append(_cosine_pairs(g["vec_id"].to_numpy(), m))
+        return pa.concat_tables(out)
 
-    def block_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) < 2:
-            return _empty
-        g = g.sort_values("vec_id")
-        ids = g["vec_id"].to_numpy()
-        m = np.stack(g["embedding"].to_numpy()).astype(np.float64)
-        m /= np.linalg.norm(m, axis=1, keepdims=True) + 1e-12
-        cos = m @ m.T
-        iu = np.triu_indices(len(g), k=1)
-        mask = cos[iu] >= COSINE_TAU
-        return pd.DataFrame(
-            {
-                "vec_a": ids[iu[0][mask]],
-                "vec_b": ids[iu[1][mask]],
-                "cosine": round_half_away(cos[iu][mask], 4),
-            }
-        )
-
-    return ds.groupby("label").map_groups(block_pairs, batch_format="pandas")
+    return keyed_fold(ds, ["label"], block_pairs)
 
 
 SQL_DEDUP_EMBEDDING = f"""
@@ -693,31 +702,20 @@ def dedup_embedding_ivf(sf_dir: str) -> rd.Dataset:
             }
         )
 
-    def list_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) < 2:
-            return pd.DataFrame(columns=["vec_a", "vec_b", "cosine"]).astype(
-                {"vec_a": "int64", "vec_b": "int64", "cosine": "float64"}
-            )
-        g = g.sort_values("vec_id")
-        ids = g["vec_id"].to_numpy()
-        m = np.stack(g["embedding"].to_numpy())  # already normalized
-        cos = m @ m.T
-        iu = np.triu_indices(len(g), k=1)
-        mask = (cos[iu] >= COSINE_TAU) & (ids[iu[0]] != ids[iu[1]])
-        return pd.DataFrame(
-            {
-                "vec_a": ids[iu[0][mask]],
-                "vec_b": ids[iu[1][mask]],
-                "cosine": round_half_away(cos[iu][mask], 4),
-            }
-        )
+    def list_pairs(block: pa.Table) -> pa.Table:
+        df = pl.from_arrow(block.select(["list_id", "vec_id", "embedding"]))
+        out = []
+        for g in df.partition_by("list_id"):
+            g = g.sort("vec_id")  # embeddings already normalized
+            m = np.stack(g["embedding"].to_numpy())
+            out.append(_cosine_pairs(g["vec_id"].to_numpy(), m))
+        return pa.concat_tables(out)
 
     from ray.data.aggregate import Max
 
+    assigned = ds.map_batches(assign, batch_format="pyarrow", **worker_runtime_env())
     return (
-        ds.map_batches(assign, batch_format="pyarrow", **worker_runtime_env())
-        .groupby("list_id")
-        .map_groups(list_pairs, batch_format="pandas")
+        keyed_fold(assigned, ["list_id"], list_pairs)
         .groupby(["vec_a", "vec_b"])
         .aggregate(Max("cosine", alias_name="cosine"))  # dedup shared-list pairs
     )
@@ -898,15 +896,14 @@ def dedup_normalized(sf_dir: str) -> rd.Dataset:
         )
         return pa.table({"doc_id": t["doc_id"], "norm_sha256": sha256_hex(norm)})
 
-    return (
-        ds.map_batches(
-            digest,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            **worker_runtime_env(),  # cap polars threads under any driver
-        )
-        .groupby("norm_sha256")
-        .map_groups(_keep_first_by("norm_sha256"), batch_format="pandas")
+    digests = ds.map_batches(
+        digest,
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        **worker_runtime_env(),  # cap polars threads under any driver
+    )
+    return keyed_fold(
+        digests, ["norm_sha256"], keep_first, fn_kwargs={"key": "norm_sha256"}
     )
 
 

@@ -6,18 +6,19 @@ handleQueryResult group.
 
 Partitioning assumption (same as the reference's): derivation edges NEVER
 cross the partition key — every edge connects records of the same key
-(patient there, ``user_id`` here) — so one ``groupby(user_id)`` co-locates
-each key's whole subgraph and the walk is a per-group in-memory BFS, no
-iterative joins.  A graph with cross-key edges would instead need the
+(patient there, ``user_id`` here) — so one ``keyed_fold`` on ``user_id``
+co-locates each key's whole subgraph and the walk is an in-memory shift
+per hop over the block, no iterative joins.  A graph with cross-key edges would instead need the
 iterative edges-dataset join (one bucketed join per hop, SURVEY.md J2).
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
+import polars as pl
 import pyarrow as pa
 import ray.data as rd
+
+from ..stages.exchange import keyed_fold
 
 MAX_DEPTH = 2  # the reference's bounded 2-hop walk
 ROOT_TYPE = "signup"  # roots of the walk (encounter analog)
@@ -31,31 +32,28 @@ def derivation_reach(sf_dir: str) -> rd.Dataset:
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "event_type"]
     )
 
-    def walk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("event_id")
-        ids = g["event_id"].to_numpy()
-        # edge i -> i+1 (the user's next event is its forward derivation)
-        nxt = {int(ids[i]): int(ids[i + 1]) for i in range(len(ids) - 1)}
-        roots = g.loc[g["event_type"] == ROOT_TYPE, "event_id"].to_numpy()
-        out_r, out_e, out_d = [], [], []
-        for r in roots:
-            cur = int(r)
-            for depth in range(1, MAX_DEPTH + 1):
-                cur = nxt.get(cur)
-                if cur is None:
-                    break
-                out_r.append(int(r))
-                out_e.append(cur)
-                out_d.append(depth)
-        return pd.DataFrame(
-            {
-                "root_id": pd.Series(out_r, dtype="int64"),
-                "reached_id": pd.Series(out_e, dtype="int64"),
-                "depth": pd.Series(np.asarray(out_d, dtype=np.int64), dtype="int64"),
-            }
+    def walk(block: pa.Table) -> pa.Table:
+        # edge i -> i+1 (the user's next event is its forward derivation),
+        # so the event ``depth`` hops on is the user's ``depth``-th next
+        df = pl.from_arrow(block.select(["event_id", "user_id", "event_type"]))
+        df = df.sort(["user_id", "event_id"])
+        hops = [
+            df.select(
+                pl.col("event_id").alias("root_id"),
+                pl.col("event_id").shift(-depth).over("user_id").alias("reached_id"),
+                pl.lit(depth, pl.Int64).alias("depth"),
+                "event_type",
+            )
+            for depth in range(1, MAX_DEPTH + 1)
+        ]
+        return (
+            pl.concat(hops)
+            .filter((pl.col("event_type") == ROOT_TYPE) & pl.col("reached_id").is_not_null())
+            .drop("event_type")
+            .to_arrow()
         )
 
-    return ds.groupby("user_id").map_groups(walk, batch_format="pandas")
+    return keyed_fold(ds, ["user_id"], walk)
 
 
 SQL_DERIVATION_REACH = f"""

@@ -4,12 +4,12 @@ clustering step that turns near-duplicate PAIRS into duplicate GROUPS
 (pick-one-per-cluster is what a dedup pipeline actually ships; pairs
 alone are not actionable).
 
-Physical plan per round — groupby-only, no joins:
+Physical plan per round — one keyed fold, no joins:
 
-    adjacency (src, dst) --groupby(src)--> each node u computes
+    adjacency (src, dst) --keyed_fold(src)--> each node u computes
     m = min(neighborhood ∪ {u}) and emits (m, v) + (v, m) for every v —
     i.e. attaches its whole neighborhood to its current minimum.
-    The emitted pairs (deduped by the same groupby next round) ARE the
+    The emitted pairs (deduped by the next round's fold) ARE the
     next round's adjacency; shortcut edges accumulate, so the component
     minimum reaches every node in O(log diameter) rounds, not O(diameter).
 
@@ -32,6 +32,7 @@ import pyarrow as pa
 import ray.data as rd
 from ray.data.aggregate import Min, Sum
 
+from ..stages.exchange import keyed_fold
 from ..util import worker_runtime_env
 
 
@@ -48,11 +49,10 @@ def connected_components(
     the fixpoint is not reached within ``max_iters`` rounds (hash-to-min
     needs ~log2(diameter) + 2, so 30 covers any practical graph).
 
-    Rounds are grouped by a COARSE node-hash bucket, not per node: one
-    shuffle group per bucket, with the per-node min/emit logic fully
-    vectorized in polars inside the bucket — per-node task dispatch would
-    dominate past ~10^4 nodes (measured), the same
-    many-tiny-groups pitfall ray_guide.md warns about."""
+    Each round is one ``keyed_fold`` on a COARSE node bucket
+    (``_pid = src % num_buckets``), not per node: the per-node min/emit
+    logic runs fully vectorized in polars over a block of buckets —
+    per-node task dispatch would dominate past ~10^4 nodes (measured)."""
     import polars as pl
 
     def to_und(t: pa.Table) -> pa.Table:
@@ -101,11 +101,7 @@ def connected_components(
 
     prev = None
     for it in range(max_iters):
-        adj = (
-            adj.groupby("_pid")
-            .map_groups(hash_to_min_bucket, batch_format="pyarrow")
-            .materialize()
-        )
+        adj = keyed_fold(adj, "_pid", hash_to_min_bucket, num_buckets).materialize()
         cur = _metric(adj)
         if cur == prev:
             break
@@ -125,7 +121,7 @@ def connected_components(
         )
         return out.to_arrow()
 
-    return adj.groupby("_pid").map_groups(labels_bucket, batch_format="pyarrow")
+    return keyed_fold(adj, "_pid", labels_bucket, num_buckets)
 
 
 def dedup_clusters(sf_dir: str) -> rd.Dataset:

@@ -32,9 +32,18 @@ from ..functions.hashing import (
     md5_uniform52_from_digests,
     md5_uniform52_of_ints,
 )
+from ..stages.exchange import keyed_fold
 from ..util import worker_runtime_env
 
 SAMPLE_K = 20  # docs kept per language stratum
+
+
+def _md5_ranked(block: pa.Table, key: str, rank_name: str, extra=()) -> pl.DataFrame:
+    """A keyed-fold block with each ``key`` group's docs numbered 1.. in
+    md5-rank (``rk``) order as ``rank_name``."""
+    df = pl.from_arrow(block.select([key, "doc_id", "rk", *extra]))
+    rank = pl.int_range(1, pl.len() + 1, dtype=pl.Int64).over(key)
+    return df.sort([key, "rk"], maintain_order=True).with_columns(rank.alias(rank_name))
 
 # sampling decisions are keyed on md5(str(doc_id)) — portable to the
 # DuckDB oracle (`md5(CAST(doc_id AS VARCHAR))`) and uniform enough; the
@@ -62,17 +71,12 @@ def sample_per_lang(sf_dir: str) -> rd.Dataset:
             .to_arrow()
         )
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("rk", kind="mergesort").head(SAMPLE_K)
-        g = g.reset_index(drop=True)
-        g["sample_rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["lang", "doc_id", "sample_rank"]]
+    def final(block: pa.Table) -> pa.Table:
+        df = _md5_ranked(block, "lang", "sample_rank")
+        return df.filter(pl.col("sample_rank") <= SAMPLE_K).drop("rk").to_arrow()
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", **worker_runtime_env())
-        .groupby("lang")
-        .map_groups(final, batch_format="pandas")
-    )
+    partials = ds.map_batches(partial, batch_format="pyarrow", **worker_runtime_env())
+    return keyed_fold(partials, ["lang"], final)
 
 
 SQL_SAMPLE_PER_LANG = f"""
@@ -440,13 +444,12 @@ def mix_temperature(sf_dir: str) -> rd.Dataset:
     }
     survivors = _mix_survivors(ds, quotas, counts)
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("rk", kind="mergesort").head(int(g["quota"].iloc[0]))
-        g = g.reset_index(drop=True)
-        g["pick_rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["source", "doc_id", "pick_rank"]]
+    def final(block: pa.Table) -> pa.Table:
+        df = _md5_ranked(block, "source", "pick_rank", extra=["quota"])
+        df = df.filter(pl.col("pick_rank") <= pl.col("quota"))
+        return df.select("source", "doc_id", "pick_rank").to_arrow()
 
-    return survivors.groupby("source").map_groups(final, batch_format="pandas")
+    return keyed_fold(survivors, ["source"], final)
 
 
 MIX_SAFETY = 2.0  # threshold head-room: expected survivors = SAFETY * quota

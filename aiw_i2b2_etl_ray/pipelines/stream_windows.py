@@ -42,6 +42,7 @@ import ray.data as rd
 
 from ..sources.changes import read_changes
 from ..stages import routing
+from ..stages.exchange import keyed_fold
 from ..stages.merge import _atomic_json, _atomic_write
 from ..util import worker_runtime_env
 
@@ -107,10 +108,9 @@ def update_windows(
 
     routed = changes.map_batches(route, batch_format="pyarrow", **worker_runtime_env())
 
-    def fold_partition(g: pa.Table) -> pa.Table:
+    def fold_partition(pid: int, g: pa.Table) -> dict:
         """Per-partition fold: load existing counts, watermark-filter the
         batch, add partial counts, atomic rewrite."""
-        pid = int(g["_pid"][0].as_py())
         wm_prev = _read_wm(out_dir, pid)
         seqs = g["commit_seq"]
         keep = pc.fill_null(pc.greater(seqs, wm_prev), False)
@@ -146,23 +146,24 @@ def update_windows(
         _atomic_json(
             {"partition_id": pid, "watermark_seq": wm_new}, _wm_file(out_dir, pid)
         )
-        return pa.table(
-            {
-                "partition_id": pa.array([pid], pa.int32()),
-                "rows_folded": pa.array([len(g)], pa.int64()),
-                "rows_skipped": pa.array([n_skipped], pa.int64()),
-                "watermark_seq": pa.array([wm_new], pa.int64()),
-            }
-        )
+        return {
+            "partition_id": pid,
+            "rows_folded": len(g),
+            "rows_skipped": n_skipped,
+            "watermark_seq": wm_new,
+        }
+
+    def fold_partitions(block: pa.Table) -> pa.Table:
+        rows = [
+            fold_partition(pid, block.filter(pc.equal(block["_pid"], pid)))
+            for pid in pc.unique(block["_pid"]).to_pylist()
+        ]
+        return pa.Table.from_pylist(rows)
 
     os.makedirs(os.path.join(out_dir, "window_counts"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "_window_manifest"), exist_ok=True)
     _atomic_json({"num_partitions": num_partitions, "routing_id": routing.routing_id()}, jm_path)
-    summary = (
-        routed.groupby("_pid")
-        .map_groups(fold_partition, batch_format="pyarrow", **worker_runtime_env())
-        .to_pandas()
-    )
+    summary = keyed_fold(routed, "_pid", fold_partitions, num_partitions).to_pandas()
     return {
         "partitions": len(summary),
         "rows_folded": int(summary["rows_folded"].sum()),

@@ -3,17 +3,17 @@
 Ray Data has no native as-of or range join; the engine expresses both with
 the same single-shuffle discipline as the CDC core:
 
-* **as-of join** — co-shuffle both sides on the equi-key (the bucketed-join
-  pattern from ``stages/join.py``), then a vectorized ``polars.join_asof``
-  per bucket.  One all-to-all total; each bucket's rows fit a worker by the
-  same sizing rule as the CDC merge partitions.
+* **as-of join** — one ``keyed_fold`` of both sides on the equi-key (the
+  bucketed-join pattern from ``stages/join.py``), then a vectorized
+  ``polars.join_asof(by=key)`` per block.  One all-to-all total.
 * **range join** (no equi-key) — coarse time-bucket both sides with bucket
   width >= the interval width, so every interval overlaps at most 2 buckets.
   Interval rows replicate to those <=2 buckets (ids + bounds only, never
   payload); point rows land in exactly one bucket, so per-interval partial
   counts add without double counting.  Within a bucket the match is a
   sort + ``searchsorted`` prefix-sum — O(n log n) vectorized, no pair
-  explosion.
+  explosion.  A ``keyed_fold`` on the time bucket brings each bucket's rows
+  to one block, and the kernel matches the block's buckets one by one.
 
 Reference analog: the temporal-ordering joins the reference pushes into
 source SQL and interval comparators (dest/table/PropositionFactHandler.java:53-54,
@@ -27,9 +27,9 @@ import polars as pl
 import pyarrow as pa
 import ray.data as rd
 
-from ..functions.hashing import bucket_hash
 from ..functions.numeric import round_half_away_pc
 from ..schemas import ensure_columns
+from ..stages.exchange import keyed_fold
 from ..util import worker_runtime_env
 
 DAY_US = 86_400 * 1_000_000
@@ -41,10 +41,10 @@ def asof_join_events_orders(sf_dir: str) -> rd.Dataset:
     before the event timestamp (ties on order date break to the highest
     order key).  Inner semantics: events with no prior order are dropped.
 
-    Physical plan: hash both sides into ``num_buckets`` on the customer
-    key, union on a unified schema, one ``groupby(_bucket)``, then a
-    per-bucket ``polars.join_asof(by=key)`` after an in-bucket sort —
-    raw rows cross the wire exactly once.
+    Physical plan: union both sides on a unified schema, one
+    ``keyed_fold`` on the customer key, then a per-block
+    ``polars.join_asof(by=key)`` after an in-block sort — raw rows cross
+    the wire exactly once.
     """
     events = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
@@ -52,8 +52,6 @@ def asof_join_events_orders(sf_dir: str) -> rd.Dataset:
     orders = rd.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_orderdate"]
     )
-    num_buckets = 16
-
     unified = pa.schema(
         [
             pa.field("key", pa.int64()),
@@ -61,7 +59,6 @@ def asof_join_events_orders(sf_dir: str) -> rd.Dataset:
             pa.field("ts", pa.timestamp("us")),
             pa.field("o_orderkey", pa.int64()),
             pa.field("o_orderdate", pa.timestamp("us")),
-            pa.field("_bucket", pa.int32()),
             pa.field("_side", pa.string()),
         ]
     )
@@ -70,7 +67,6 @@ def asof_join_events_orders(sf_dir: str) -> rd.Dataset:
         def fn(t: pa.Table) -> pa.Table:
             t = t.append_column("key", t[key_col].cast(pa.int64()))
             t = t.drop_columns([key_col])
-            t = t.append_column("_bucket", bucket_hash(t, ["key"], num_buckets))
             t = t.append_column("_side", pa.array([side] * len(t)))
             return ensure_columns(t, unified)
 
@@ -104,11 +100,7 @@ def asof_join_events_orders(sf_dir: str) -> rd.Dataset:
             "event_id", "user_id", "ts", "o_orderkey", "o_orderdate"
         ).to_arrow()
 
-    return (
-        lt.union(rt)
-        .groupby("_bucket")
-        .map_groups(join_bucket, batch_format="pyarrow", **worker_runtime_env())
-    )
+    return keyed_fold(lt.union(rt), ["key"], join_bucket)
 
 
 SQL_ASOF_JOIN = """
@@ -149,7 +141,7 @@ def range_join_orders_shipments(sf_dir: str) -> rd.Dataset:
             pa.field("hi", pa.int64()),
             pa.field("pt", pa.int64()),   # point (shipments side)
             pa.field("qty", pa.float64()),
-            pa.field("_bucket", pa.int64()),
+            pa.field("_tb", pa.int64()),
             pa.field("_side", pa.string()),
         ]
     )
@@ -174,7 +166,7 @@ def range_join_orders_shipments(sf_dir: str) -> rd.Dataset:
                         "o_orderkey": key[keep],
                         "lo": lo[keep],
                         "hi": hi[keep],
-                        "_bucket": b[keep],
+                        "_tb": b[keep],
                     }
                 )
             )
@@ -188,7 +180,7 @@ def range_join_orders_shipments(sf_dir: str) -> rd.Dataset:
             {
                 "pt": pt,
                 "qty": t["l_quantity"].cast(pa.float64()),
-                "_bucket": pa.compute.divide(pt, width_us),
+                "_tb": pa.compute.divide(pt, width_us),
             }
         )
         out = out.append_column("_side", pa.array(["p"] * len(out)))
@@ -197,8 +189,7 @@ def range_join_orders_shipments(sf_dir: str) -> rd.Dataset:
     it = orders.map_batches(prep_orders, batch_format="pyarrow", **worker_runtime_env())
     st = lineitem.map_batches(prep_ship, batch_format="pyarrow", **worker_runtime_env())
 
-    def match_bucket(g: pa.Table) -> pa.Table:
-        df = pl.from_arrow(g)
+    def match_bucket(df: pl.DataFrame) -> pa.Table:
         ivs = df.filter(pl.col("_side") == "i")
         pts = df.filter(pl.col("_side") == "p").sort("pt")
         if ivs.height == 0 or pts.height == 0:
@@ -226,10 +217,12 @@ def range_join_orders_shipments(sf_dir: str) -> rd.Dataset:
 
     from ray.data.aggregate import Sum
 
+    def match_block(g: pa.Table) -> pa.Table:
+        parts = pl.from_arrow(g).partition_by("_tb")
+        return pa.concat_tables([match_bucket(df) for df in parts])
+
     folded = (
-        it.union(st)
-        .groupby("_bucket")
-        .map_groups(match_bucket, batch_format="pyarrow", **worker_runtime_env())
+        keyed_fold(it.union(st), ["_tb"], match_block)
         .groupby("o_orderkey")
         .aggregate(Sum("pn", alias_name="n_shipped"), Sum("pq", alias_name="qty_shipped"))
     )
@@ -292,7 +285,7 @@ def overlap_join(sf_dir: str) -> rd.Dataset:
                         "key": key[keep],
                         "sa": s[keep],
                         "ea": e[keep],
-                        "_bucket": b[keep],
+                        "_tb": b[keep],
                     }
                 )
             )
@@ -306,14 +299,13 @@ def overlap_join(sf_dir: str) -> rd.Dataset:
         b0, b1 = s // W, (e - 1) // W
         reps = []
         for b, keep in ((b0, np.ones(len(s), bool)), (b1, b1 != b0)):
-            reps.append(pa.table({"sb": s[keep], "_bucket": b[keep]}))
+            reps.append(pa.table({"sb": s[keep], "_tb": b[keep]}))
         out = pa.concat_tables(reps)
         out = out.append_column("_side", pa.array(["b"] * len(out)))
         return ensure_columns(out, _OVERLAP_SCHEMA)
 
-    def match_bucket(g: pa.Table) -> pa.Table:
-        df = pl.from_arrow(g)
-        k = int(df["_bucket"][0])
+    def match_bucket(df: pl.DataFrame) -> pa.Table:
+        k = int(df["_tb"][0])
         A = df.filter(pl.col("_side") == "a")
         B = df.filter(pl.col("_side") == "b")
         if A.height == 0 or B.height == 0:
@@ -341,13 +333,17 @@ def overlap_join(sf_dir: str) -> rd.Dataset:
             {"o_orderkey": A["key"].to_numpy()[keep], "pn": n[keep]}
         )
 
+    def match_block(g: pa.Table) -> pa.Table:
+        parts = pl.from_arrow(g).partition_by("_tb")
+        return pa.concat_tables([match_bucket(df) for df in parts])
+
     from ray.data.aggregate import Sum
 
+    both = orders.map_batches(prep_a, batch_format="pyarrow", **worker_runtime_env()).union(
+        line.map_batches(prep_b, batch_format="pyarrow", **worker_runtime_env())
+    )
     return (
-        orders.map_batches(prep_a, batch_format="pyarrow", **worker_runtime_env())
-        .union(line.map_batches(prep_b, batch_format="pyarrow", **worker_runtime_env()))
-        .groupby("_bucket")
-        .map_groups(match_bucket, batch_format="pyarrow", **worker_runtime_env())
+        keyed_fold(both, ["_tb"], match_block)
         .groupby("o_orderkey")
         .aggregate(Sum("pn", alias_name="n_overlapping"))
         .map_batches(
@@ -368,7 +364,7 @@ _OVERLAP_SCHEMA = pa.schema(
         pa.field("sa", pa.int64()),
         pa.field("ea", pa.int64()),
         pa.field("sb", pa.int64()),
-        pa.field("_bucket", pa.int64()),
+        pa.field("_tb", pa.int64()),
         pa.field("_side", pa.string()),
     ]
 )

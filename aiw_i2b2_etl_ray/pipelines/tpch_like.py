@@ -26,6 +26,7 @@ import ray.data as rd
 from ray.data.aggregate import Sum
 
 from ..functions.numeric import round_half_away_pc
+from ..stages.exchange import keyed_fold
 from ..stages.join import bucketed_join
 from ..util import empty_frame, worker_runtime_env
 
@@ -399,7 +400,7 @@ def cheapest_supplier_per_part(sf_dir: str) -> rd.Dataset:
 
     Physical plan: finest-grain (part, supplier) averages via the usual
     combiner + keyed groupby; then per-part argmin with a local top-1
-    combiner before the second (tiny) keyed fold — the row-selection
+    combiner before the second (tiny) ``keyed_fold`` — the row-selection
     aggregate SQL expresses as ROW_NUMBER()=1, done without a join-back."""
     line = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey", "l_extendedprice"]
@@ -433,24 +434,16 @@ def cheapest_supplier_per_part(sf_dir: str) -> rd.Dataset:
 
     def local_min(t: pa.Table) -> pa.Table:
         return (
-            pl.from_arrow(t)
-            .sort(["l_partkey", "avg_price", "l_suppkey"])
+            pl.from_arrow(t.select(["l_partkey", "l_suppkey", "avg_price"]))
+            .sort(["l_partkey", "avg_price", "l_suppkey"], nulls_last=True)
             .group_by("l_partkey", maintain_order=True)
             .head(1)
             .to_arrow()
         )
 
-    import pandas as pd
-
-    def final_min(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["avg_price", "l_suppkey"], kind="mergesort").head(1)
-        return g[["l_partkey", "l_suppkey", "avg_price"]]
-
-    out = (
-        pair_avg.map_batches(local_min, batch_format="pyarrow", **worker_runtime_env())
-        .groupby("l_partkey")
-        .map_groups(final_min, batch_format="pandas")
-    )
+    # the per-block top-1 is also the final one once the fold co-locates parts
+    partials = pair_avg.map_batches(local_min, batch_format="pyarrow", **worker_runtime_env())
+    out = keyed_fold(partials, ["l_partkey"], local_min)
     return out.map_batches(
         lambda t: t.set_column(
             t.column_names.index("avg_price"),

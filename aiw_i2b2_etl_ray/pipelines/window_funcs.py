@@ -3,9 +3,11 @@ frames, per-group top-k, ROLLUP grouping sets, and grouped COUNT(DISTINCT).
 
 All follow the engine's two physical contracts:
 
-* per-key ordered logic = one keyed shuffle (``groupby(key).map_groups``)
-  with vectorized in-group kernels — the same partitioned-sort contract the
-  CDC merge and sessionization use (stages/merge.py, pipelines/windows.py);
+* per-key ordered logic = one ``keyed_fold`` (stages/exchange.py) whose
+  polars kernel sorts its block by (key, order) once and runs the window
+  logic over every key at once (``.over(key)``, ``group_by``) — the same
+  partitioned-sort contract the CDC merge and sessionization use
+  (stages/merge.py, pipelines/windows.py);
 * unordered aggregates = per-batch partial combine in ``map_batches`` before
   the (tiny) keyed groupby, so raw rows never shuffle.
 
@@ -18,36 +20,40 @@ distributed operator.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import polars as pl
 import pyarrow as pa
 import ray.data as rd
 from ray.data.aggregate import Sum
 
 from ..functions.numeric import round_half_away, round_half_away_pc, round_half_away_pl
+from ..stages.exchange import keyed_fold
 from ..util import worker_runtime_env
+from .windows import TS_US, user_ordered, user_row_number
+
+
+def _rounded(df: pl.DataFrame, col: str, scale: float = 1.0) -> pa.Table:
+    """``df`` as Arrow with ``col`` divided by ``scale`` and rounded half
+    away from zero to 4 places, both in numpy: polars may turn a divide by
+    a literal into a multiply by its reciprocal, one ULP off DuckDB."""
+    t = df.to_arrow()
+    v = round_half_away(df[col].to_numpy().astype(np.float64) / scale, 4)
+    return t.set_column(t.column_names.index(col), col, pa.array(v))
 
 
 def cumulative_value(sf_dir: str) -> rd.Dataset:
     """Per-user running sum of ``value`` in (ts, event_id) order — the
     cumulative-aggregate window frame (SUM ... ROWS UNBOUNDED PRECEDING).
-    One keyed shuffle; the in-group kernel is a numpy cumsum."""
+    One keyed fold; the kernel is a running sum over each user."""
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts", "value"]
     )
 
-    def cum(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"], kind="mergesort")
-        run = np.cumsum(np.nan_to_num(g["value"].to_numpy(), nan=0.0))
-        return pd.DataFrame(
-            {
-                "event_id": g["event_id"].to_numpy(),
-                "user_id": g["user_id"].to_numpy(),
-                "running_value": round_half_away(run, 4),
-            }
-        )
+    def cum(block: pa.Table) -> pa.Table:
+        df = user_ordered(block, ["event_id", "user_id", "ts", "value"])
+        run = pl.col("value").fill_nan(None).fill_null(0.0).cum_sum().over("user_id")
+        return _rounded(df.select("event_id", "user_id", run.alias("running_value")), "running_value")
 
-    return ds.groupby("user_id").map_groups(cum, batch_format="pandas")
+    return keyed_fold(ds, ["user_id"], cum)
 
 
 SQL_CUMULATIVE_VALUE = """
@@ -61,23 +67,20 @@ FROM events
 
 def sliding_avg(sf_dir: str) -> rd.Dataset:
     """Per-user 3-row moving average of ``value`` (ROWS 2 PRECEDING) —
-    the bounded sliding frame.  pandas rolling() inside the keyed group."""
+    the bounded sliding frame: the mean of the non-null values among each
+    row and its user's two previous rows."""
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts", "value"]
     )
 
-    def slide(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"], kind="mergesort")
-        avg = g["value"].rolling(3, min_periods=1).mean().to_numpy()
-        return pd.DataFrame(
-            {
-                "event_id": g["event_id"].to_numpy(),
-                "user_id": g["user_id"].to_numpy(),
-                "avg3": round_half_away(avg, 4),
-            }
-        )
+    def slide(block: pa.Table) -> pa.Table:
+        df = user_ordered(block, ["event_id", "user_id", "ts", "value"])
+        frame = [pl.col("value").fill_nan(None).shift(k).over("user_id") for k in (2, 1, 0)]
+        n = pl.sum_horizontal([v.is_not_null() for v in frame])
+        avg = pl.when(n > 0).then(pl.sum_horizontal(frame) / n)
+        return _rounded(df.select("event_id", "user_id", avg.alias("avg3")), "avg3")
 
-    return ds.groupby("user_id").map_groups(slide, batch_format="pandas")
+    return keyed_fold(ds, ["user_id"], slide)
 
 
 SQL_SLIDING_AVG = """
@@ -106,19 +109,15 @@ def topk_orders_per_customer(sf_dir: str) -> rd.Dataset:
         )
         return df.group_by("o_custkey", maintain_order=True).head(3).to_arrow()
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(
-            ["o_totalprice", "o_orderkey"], ascending=[False, True], kind="mergesort"
-        ).head(3)
-        g = g.reset_index(drop=True)
-        g["rk"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["o_custkey", "o_orderkey", "o_totalprice", "rk"]]
+    def final(block: pa.Table) -> pa.Table:
+        df = pl.from_arrow(block.select(["o_custkey", "o_orderkey", "o_totalprice"])).sort(
+            ["o_custkey", "o_totalprice", "o_orderkey"], descending=[False, True, False]
+        )
+        rk = pl.int_range(1, pl.len() + 1, dtype=pl.Int64).over("o_custkey")
+        return df.with_columns(rk.alias("rk")).filter(pl.col("rk") <= 3).to_arrow()
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", **worker_runtime_env())
-        .groupby("o_custkey")
-        .map_groups(final, batch_format="pandas")
-    )
+    partials = ds.map_batches(partial, batch_format="pyarrow", **worker_runtime_env())
+    return keyed_fold(partials, ["o_custkey"], final)
 
 
 SQL_TOPK_PER_CUSTOMER = """
@@ -235,25 +234,27 @@ QUANTS = (0.25, 0.5, 0.75)
 def value_quantiles(sf_dir: str) -> rd.Dataset:
     """Exact continuous quantiles (p25/p50/p75) of ``value`` per
     event_type — linear interpolation, matching SQL ``quantile_cont``.
-    One keyed shuffle; numpy quantile inside the group.  (Exactness
+    One keyed fold; numpy quantile per event_type.  (Exactness
     requires the group's values on one worker — the engine's documented
     per-partition-fits-a-worker contract; the approximate path for
     unbounded groups is the HLL/sketch family in pipelines/sketches.py.)"""
     ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
 
-    def quants(g: pd.DataFrame) -> pd.DataFrame:
-        v = g["value"].dropna().to_numpy()
-        qs = np.quantile(v, QUANTS) if len(v) else np.full(len(QUANTS), np.nan)
-        return pd.DataFrame(
-            {
-                "event_type": [g["event_type"].iloc[0]],
-                "p25": [round_half_away(qs[0], 4)],
-                "p50": [round_half_away(qs[1], 4)],
-                "p75": [round_half_away(qs[2], 4)],
-            }
-        )
+    def quants(block: pa.Table) -> pa.Table:
+        vals = pl.col("value").filter(pl.col("value").is_not_nan())  # drops nulls too
+        by_type = pl.from_arrow(block.select(["event_type", "value"]))
+        by_type = by_type.group_by("event_type").agg(vals)
+        qs = np.array(
+            [
+                np.quantile(v, QUANTS) if len(v) else np.full(len(QUANTS), np.nan)
+                for v in by_type["value"].to_numpy()
+            ]
+        ).reshape(-1, len(QUANTS))
+        qs = round_half_away(qs, 4)
+        cols = {f"p{int(q * 100)}": qs[:, i] for i, q in enumerate(QUANTS)}
+        return pa.table({"event_type": by_type["event_type"].to_arrow(), **cols})
 
-    return ds.groupby("event_type").map_groups(quants, batch_format="pandas")
+    return keyed_fold(ds, ["event_type"], quants)
 
 
 SQL_VALUE_QUANTILES = """
@@ -348,25 +349,15 @@ SELECT l_orderkey, l_linenumber, 'l_discount', l_discount FROM lineitem
 def event_gaps(sf_dir: str) -> rd.Dataset:
     """LAG analog: per-user gap (seconds) since the previous event in
     (ts, event_id) order; first event per user has a null gap.  Same
-    keyed-shuffle + vectorized-shift contract as the other window ops."""
+    keyed-fold + vectorized-shift contract as the other window ops."""
     ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"])
 
-    def gaps(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"], kind="mergesort")
-        # normalize to µs epoch (ns-written parquet would be 1000x off)
-        ts = g["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        gap = np.empty(len(g), dtype=np.float64)
-        gap[0] = np.nan
-        gap[1:] = (ts[1:] - ts[:-1]) / 1e6
-        return pd.DataFrame(
-            {
-                "event_id": g["event_id"].to_numpy(),
-                "user_id": g["user_id"].to_numpy(),
-                "gap_sec": round_half_away(gap, 4),
-            }
-        )
+    def gaps(block: pa.Table) -> pa.Table:
+        df = user_ordered(block, ["event_id", "user_id", "ts"])
+        gap = TS_US.diff().over("user_id")
+        return _rounded(df.select("event_id", "user_id", gap.alias("gap_sec")), "gap_sec", 1e6)
 
-    return ds.groupby("user_id").map_groups(gaps, batch_format="pandas")
+    return keyed_fold(ds, ["user_id"], gaps)
 
 
 SQL_EVENT_GAPS = """
@@ -452,30 +443,29 @@ def funnel_conversion(sf_dir: str) -> rd.Dataset:
     """Ordered-sequence (funnel) matching per user: how far through
     view -> click -> purchase each user progressed, where each step must
     occur strictly AFTER the previous step's first occurrence.  One keyed
-    shuffle; the in-group kernel is a 3-step vectorized first-occurrence
-    scan — the sequence-pattern shape (MATCH_RECOGNIZE-lite) session
-    analytics need."""
+    fold; the kernel takes, per user and step, the first time of the step
+    after the previous step's time — the sequence-pattern shape
+    (MATCH_RECOGNIZE-lite) session analytics need."""
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts", "event_type"]
     )
 
-    def funnel(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"], kind="mergesort")
-        ts = g["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        et = g["event_type"].to_numpy()
-        depth = 0
-        cutoff = -1
-        for step in FUNNEL:
-            hits = np.nonzero((et == step) & (ts > cutoff))[0]
-            if len(hits) == 0:
-                break
-            cutoff = ts[hits[0]]
-            depth += 1
-        return pd.DataFrame(
-            {"user_id": [g["user_id"].iloc[0]], "funnel_depth": np.int64(depth)}
+    def funnel(block: pa.Table) -> pa.Table:
+        df = pl.from_arrow(block.select(["user_id", "ts", "event_type"]))
+        df = df.with_columns(TS_US.alias("us"))
+        cutoff = pl.lit(-1)
+        for step in FUNNEL:  # a step's first time, null once a step is missed
+            hit = (pl.col("event_type") == step) & (pl.col("us") > cutoff)
+            df = df.with_columns(pl.col("us").filter(hit).min().over("user_id").alias(step))
+            cutoff = pl.col(step)
+        depth = pl.sum_horizontal(pl.col(step).is_not_null() for step in FUNNEL)
+        return (
+            df.group_by("user_id")
+            .agg(depth.first().cast(pl.Int64).alias("funnel_depth"))
+            .to_arrow()
         )
 
-    return ds.groupby("user_id").map_groups(funnel, batch_format="pandas")
+    return keyed_fold(ds, ["user_id"], funnel)
 
 
 SQL_FUNNEL_CONVERSION = """
@@ -520,27 +510,19 @@ def retention_cohorts(sf_dir: str) -> rd.Dataset:
         )
         return df.select("user_id", "day").unique().to_arrow()
 
-    def per_user(g: pd.DataFrame) -> pd.DataFrame:
-        days = np.unique(g["day"].to_numpy())
-        first = days[0]
-        return pd.DataFrame(
-            {
-                "cohort_day": np.full(len(days), first, dtype=np.int64),
-                "day_offset": (days - first).astype(np.int64),
-            }
-        )
-
-    counted = (
-        ds.map_batches(day_pairs, batch_format="pyarrow", **worker_runtime_env())
-        .groupby("user_id")
-        .map_groups(per_user, batch_format="pandas")
-        .map_batches(
-            lambda t: pl.from_arrow(t)
+    def per_user(block: pa.Table) -> pa.Table:
+        df = pl.from_arrow(block.select(["user_id", "day"])).unique()
+        cohort = pl.col("day").min().over("user_id")
+        return (
+            df.select(cohort.alias("cohort_day"), (pl.col("day") - cohort).alias("day_offset"))
             .group_by(["cohort_day", "day_offset"])
             .agg(pl.len().cast(pl.Int64).alias("pn"))
-            .to_arrow(),
-            batch_format="pyarrow",
+            .to_arrow()
         )
+
+    days = ds.map_batches(day_pairs, batch_format="pyarrow", **worker_runtime_env())
+    counted = (
+        keyed_fold(days, ["user_id"], per_user)
         .groupby(["cohort_day", "day_offset"])
         .aggregate(Sum("pn", alias_name="n_users"))
     )
@@ -633,25 +615,27 @@ WHERE s.sd > 0 AND ABS((e.value - s.m) / s.sd) > {Z_CUTOFF}
 def user_journeys(sf_dir: str) -> rd.Dataset:
     """Ordered string aggregation (string_agg ... ORDER BY analog): each
     user's chronological event-type sequence as one delimited string —
-    the "journey/path" row a funnel analysis exports.  Keyed shuffle +
-    in-group join; the sequence is truncated to the first 50 steps so a
-    hot user can't produce an unbounded row (the 255-char EAV truncation
-    rule, M6, applied to aggregation)."""
+    the "journey/path" row a funnel analysis exports.  Keyed fold + an
+    ordered string join per user; the sequence is truncated to the first
+    50 steps so a hot user can't produce an unbounded row (the 255-char
+    EAV truncation rule, M6, applied to aggregation)."""
     ds = rd.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts", "event_type"]
     )
 
-    def seq(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"], kind="mergesort").head(50)
-        return pd.DataFrame(
-            {
-                "user_id": [g["user_id"].iloc[0]],
-                "journey": [">".join(g["event_type"].tolist())],
-                "n_steps": np.int64(len(g)),
-            }
+    def seq(block: pa.Table) -> pa.Table:
+        df = user_ordered(block, ["event_id", "user_id", "ts", "event_type"])
+        return (
+            df.filter(user_row_number() <= 50)
+            .group_by("user_id", maintain_order=True)
+            .agg(
+                pl.col("event_type").str.join(">").alias("journey"),
+                pl.len().cast(pl.Int64).alias("n_steps"),
+            )
+            .to_arrow()
         )
 
-    return ds.groupby("user_id").map_groups(seq, batch_format="pandas")
+    return keyed_fold(ds, ["user_id"], seq)
 
 
 SQL_USER_JOURNEYS = """

@@ -1,9 +1,10 @@
 """Stream-shaped operators over the ordered ``events`` log.
 
 Ray Data has no event-time windows (ray_guide.md §streaming); the engine
-expresses them as: partition by key (the shuffle), order by timestamp
-within the group, then vectorized window logic — the same
-ordered-replay-within-partition contract the CDC merge relies on.
+expresses them as: a ``keyed_fold`` on the key (the shuffle), one sort by
+(key, timestamp) per block, then vectorized window logic over each key
+(polars ``.over(key)``) — the same ordered-replay-within-partition
+contract the CDC merge relies on.
 
 Reference analog: per-key interval ordering before fact emission
 (AllPropositionIntervalComparator at dest/table/PropositionFactHandler.java:53-54,
@@ -14,13 +15,30 @@ per-key rank, SURVEY.md ST9).
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
+import polars as pl
 import pyarrow as pa
 import ray.data as rd
 
+from ..stages.exchange import keyed_fold
+
 WINDOW_US = 3600 * 1_000_000  # 1h tumbling
 SESSION_GAP_US = 30 * 60 * 1_000_000  # 30min inactivity closes a session
+
+#: event time as µs epoch (ns-written parquet would be 1000x off)
+TS_US = pl.col("ts").cast(pl.Datetime("us")).cast(pl.Int64)
+
+
+def user_ordered(block: pa.Table, cols: list[str]) -> pl.DataFrame:
+    """``cols`` of a keyed-fold block, each user's events in (ts,
+    event_id) order, nulls last (SQL's ``ORDER BY ts, event_id``)."""
+    return pl.from_arrow(block.select(cols)).sort(
+        ["user_id", "ts", "event_id"], nulls_last=True
+    )
+
+
+def user_row_number() -> pl.Expr:
+    """1-based ROW_NUMBER within each user of a :func:`user_ordered` frame."""
+    return pl.int_range(1, pl.len() + 1, dtype=pl.Int64).over("user_id")
 
 
 def event_rank(sf_dir: str) -> rd.Dataset:
@@ -28,12 +46,11 @@ def event_rank(sf_dir: str) -> rd.Dataset:
     its user ordered by (ts, event_id) — the IncrNumFactory analog."""
     ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"])
 
-    def rank(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"], kind="mergesort")
-        g["instance_num"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["event_id", "user_id", "instance_num"]]
+    def rank(block: pa.Table) -> pa.Table:
+        df = user_ordered(block, ["event_id", "user_id", "ts"])
+        return df.select("event_id", "user_id", user_row_number().alias("instance_num")).to_arrow()
 
-    return ds.groupby("user_id").map_groups(rank, batch_format="pandas")
+    return keyed_fold(ds, ["user_id"], rank)
 
 
 SQL_EVENT_RANK = """
@@ -87,24 +104,25 @@ def session_windows(sf_dir: str) -> rd.Dataset:
     standard partitioned-sort contract."""
     ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"])
 
-    def sessions(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"], kind="mergesort")
-        # normalize to µs epoch (ns-written parquet would be 1000x off)
-        ts = g["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        new = np.ones(len(g), dtype=bool)
-        new[1:] = (ts[1:] - ts[:-1]) > SESSION_GAP_US
-        sid = np.cumsum(new)
-        out = (
-            pd.DataFrame({"ts": g["ts"].values, "sid": sid})
-            .groupby("sid")
-            .agg(session_start=("ts", "min"), session_end=("ts", "max"), n_events=("ts", "size"))
-            .reset_index(drop=True)
+    def sessions(block: pa.Table) -> pa.Table:
+        df = user_ordered(block, ["event_id", "user_id", "ts"])
+        # a user's first event opens a session, so a running count of
+        # openings over the whole sorted block numbers every session
+        new = (TS_US.diff().over("user_id") > SESSION_GAP_US).fill_null(True)
+        return (
+            df.with_columns(new.cum_sum().alias("sid"))
+            .group_by("sid")
+            .agg(
+                pl.col("user_id").first(),
+                pl.col("ts").min().alias("session_start"),
+                pl.col("ts").max().alias("session_end"),
+                pl.len().cast(pl.Int64).alias("n_events"),
+            )
+            .drop("sid")
+            .to_arrow()
         )
-        out.insert(0, "user_id", g["user_id"].iloc[0])
-        out["n_events"] = out["n_events"].astype("int64")
-        return out
 
-    return ds.groupby("user_id").map_groups(sessions, batch_format="pandas")
+    return keyed_fold(ds, ["user_id"], sessions)
 
 
 SQL_SESSION_WINDOWS = f"""

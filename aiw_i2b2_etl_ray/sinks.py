@@ -61,6 +61,11 @@ def write_partitioned(
             os.path.join(d, "data-*.parquet.tmp")
         ):
             os.remove(stale)
+        # the input's pandas metadata describes a frame these files are
+        # not; kept, it makes Ray log a schema-hash warning on every split
+        # read of them
+        meta = {k: v for k, v in (g.schema.metadata or {}).items() if k != b"pandas"}
+        g = g.replace_schema_metadata(meta or None)
         chunk = max_rows_per_file or len(g) or 1
         starts = list(range(0, max(1, len(g)), chunk))
         # data-000 is the key's completion marker (the skip check above),

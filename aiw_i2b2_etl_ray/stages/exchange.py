@@ -1,0 +1,66 @@
+"""The keyed fold: the engine's one keyed exchange.
+
+Every keyed operator has the same shape as the reference's merge (stage
+rows, co-locate them by key, run one merge per key range;
+dest/I2b2QueryResultsHandler.java:97-161):
+
+    [map_batches: _bucket = bucket_hash(keys) % num_buckets]   # hash form
+      -> sort(_bucket, B - 1 explicit boundaries)              # THE shuffle
+      -> map_batches(kernel, one call per block)               # B tasks
+
+B is ``min(num_buckets, tasks or util.cluster_cpus())``.  Every row of a
+bucket lands in exactly one block, so every key's rows reach exactly one
+kernel call.  A kernel therefore sees many keys at once and groups them
+itself (polars ``group_by``, ``.over(key)``); there is no per-group
+dispatch, which dominated Ray's ``groupby().map_groups`` at ~10^4 groups.
+"""
+
+from __future__ import annotations
+
+import pyarrow as pa
+import ray.data as rd
+
+from ..functions.hashing import bucket_hash
+from ..util import cluster_cpus, worker_runtime_env
+
+
+def keyed_fold(
+    ds: rd.Dataset,
+    by: str | list[str],
+    kernel,
+    num_buckets: int = 1 << 16,
+    *,
+    tasks: int | None = None,
+    fn_kwargs: dict | None = None,
+) -> rd.Dataset:
+    """Co-locate ``ds`` by key and call ``kernel(block: pa.Table) ->
+    pa.Table`` once per contiguous bucket range.
+
+    ``by`` is either a list of key columns, hashed with ``bucket_hash``
+    into ``num_buckets`` buckets, or the name of an int column whose values
+    already lie in ``[0, num_buckets)`` (the replay's ``pkey``, a routed
+    ``_pid``); rows with equal values of it share a block.  At B = 1 the
+    input is coalesced into one block unsorted.  The block may carry the
+    ``_bucket`` column the hash form adds, so a kernel selects the columns
+    it returns; Ray calls it on no empty block.  It is passed to Ray as is,
+    so the operator is named ``MapBatches(<kernel>)``."""
+    b = max(1, min(num_buckets, tasks or cluster_cpus()))
+    bounds = [num_buckets * i // b for i in range(1, b)]
+    if b == 1:
+        ds = ds.repartition(1)
+    elif isinstance(by, str):
+        ds = ds.sort(by, boundaries=bounds)
+    else:
+
+        def add_bucket(t: pa.Table) -> pa.Table:
+            return t.append_column("_bucket", bucket_hash(t, by, num_buckets))
+
+        ds = ds.map_batches(add_bucket, batch_format="pyarrow", **worker_runtime_env())
+        ds = ds.sort("_bucket", boundaries=bounds)
+    return ds.map_batches(
+        kernel,
+        batch_size=None,
+        batch_format="pyarrow",
+        fn_kwargs=fn_kwargs,
+        **worker_runtime_env(),
+    )

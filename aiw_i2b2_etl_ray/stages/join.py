@@ -1,12 +1,9 @@
 """Bucketed hash join — both sides large (neither fits a broadcast).
 
-The portable Ray Data pattern (ray_guide.md §joins): add ``bucket =
-hash(key) % B`` to BOTH sides, tag each side, union on a unified schema,
-group by bucket, and join the two sides of each bucket inside
-``map_groups``.  One shuffle total, co-partitioned by construction; B is
-chosen so one bucket's rows fit a worker (same sizing rule as the CDC
-merge partitions), and hot join keys can salt into sub-buckets with the
-same hash machinery the merge uses.
+Tag each side's rows, union them on a unified schema, and run one
+``keyed_fold`` on the join key (stages/exchange.py): one shuffle total,
+co-partitioned by construction, and one polars join per block of bucket
+ranges.  Hot join keys can salt into sub-keys, as the merge's hot keys do.
 
 Used where the reference pushes N-way relational joins into source SQL
 (J4, dsb/I2B2DataSourceBackend.java:200,226,256-290) and the dimension
@@ -19,9 +16,9 @@ import polars as pl
 import pyarrow as pa
 import ray.data as rd
 
-from ..functions.hashing import bucket_hash
 from ..schemas import ensure_columns
 from ..util import worker_runtime_env
+from .exchange import keyed_fold
 
 
 def bucketed_join(
@@ -93,8 +90,7 @@ def bucketed_join(
         [l_schema.field(c) for c in on]
         + [l_schema.field(c) for c in l_only]
         + [r_schema.field(c) for c in r_only]
-        + [pa.field("_salt", pa.int32())]
-        + [pa.field("_bucket", pa.int32()), pa.field("_side", pa.string())]
+        + [pa.field("_salt", pa.int32()), pa.field("_side", pa.string())]
     )
 
     def prep(side: str):
@@ -125,7 +121,6 @@ def bucketed_join(
                 t = t.append_column(
                     "_salt", pa.array([0] * len(t), pa.int32())
                 )
-            t = t.append_column("_bucket", bucket_hash(t, join_keys, num_buckets))
             t = t.append_column("_side", pa.array([side] * len(t)))
             return ensure_columns(t, unified)
 
@@ -144,8 +139,4 @@ def bucketed_join(
         out = lhs.join(rhs, on=join_keys, how=how)
         return out.select(on + l_only + r_only).to_arrow()
 
-    return (
-        lt.union(rt)
-        .groupby("_bucket")
-        .map_groups(join_bucket, batch_format="pyarrow", **worker_runtime_env())
-    )
+    return keyed_fold(lt.union(rt), join_keys, join_bucket, num_buckets)

@@ -3,14 +3,16 @@ temp-table -> ``EK_*`` merge stored procedures
 (dest/I2b2QueryResultsHandler.java:508-686; proc contract :97-161; H2 mocks
 src/main/resources/sql/mock_stored_procedures_h2.sql:22-92).
 
-Physical plan: ``ds.sort("pkey", boundaries=...)`` — a range exchange on the
-int32 partition key (the ONLY wide shuffle in the pipeline, ~100 B/row
-because content was digested in normalize) into one block per contiguous
-pkey range, as many ranges as the cluster has CPUs, or more for a large
-delivery (``cdc_replay.merge_tasks``; at most one per partition); then
-one vectorized ``PartitionMerger`` call per block in a stateless task.  A block holds many partitions: the merge runs its chain
-once over all of them, keyed by ``(pkey, repo, path)``, and splits the
-outputs per partition only when it writes them.
+Physical plan: ``keyed_fold(ds, "pkey", ...)`` (stages/exchange.py) — a
+sort at explicit boundaries on the int32 partition key (the ONLY wide
+shuffle in the pipeline, ~100 B/row because content was digested in
+normalize) into one block per contiguous pkey range, as many ranges as
+the cluster has CPUs, or more for a large delivery
+(``cdc_replay.merge_tasks``; at most one per partition); then one
+vectorized ``PartitionMerger`` call per block in a stateless task.  A
+block holds many partitions: the merge runs its chain once over all of
+them, keyed by ``(pkey, repo, path)``, and splits the outputs per
+partition only when it writes them.
 
 Per-partition merge semantics (all vectorized via polars; no Python row
 loops):

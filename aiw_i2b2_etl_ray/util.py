@@ -57,7 +57,12 @@ def empty_frame(**dtypes: str):
     finals with ``if out.count() == 0: return empty_frame(col="dtype",
     ...)``.  One helper instead of a hand-written pd.DataFrame literal
     per query — the literal was forgotten once (cdc_shared_content) and
-    each copy's dtype list had to be eye-synced with the real schema."""
+    each copy's dtype list had to be eye-synced with the real schema.
+
+    A typed empty table does not replace this guard (Ray 2.49):
+    ``rd.from_arrow(schema.empty_table()).to_pandas()`` has no columns,
+    and neither has a ``keyed_fold`` whose kernels all return typed empty
+    tables, though ``to_arrow_refs()`` shows each block's schema."""
     import pandas as pd
 
     return pd.DataFrame({c: pd.array([], dtype=t) for c, t in dtypes.items()})

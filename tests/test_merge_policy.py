@@ -26,7 +26,9 @@ def _mk_changes():
 def _run(policy):
     spec = ReplaySpec(num_partitions=2, salt_buckets=1, hot_key_threshold=0)
     norm = normalized(_mk_changes(), spec, None)
-    out = merged_groups(norm, {"emit": "path_dim", "merge_policy": policy}).to_pandas()
+    out = merged_groups(
+        norm, {"emit": "path_dim", "merge_policy": policy}, spec.num_partitions
+    ).to_pandas()
     return out.iloc[0]
 
 
