@@ -7,9 +7,11 @@ Logical plan (one wide shuffle total):
       -> [filter: skip committed partitions]       # resume path
       -> keyed_fold(pkey, B contiguous ranges)     # THE shuffle:
            sort at explicit boundaries,            #   stages.exchange
-           map_batches(_merge_group, one per range)  # many pkeys a call
-      -> [driver] fold hot-key winners             # tiny per-key reduce
-      -> dims from the (already reduced) fact output
+           map_batches(_merge_group, one per range)  # many pkeys a call;
+                                                   #   writes every output,
+                                                   #   hot-key winners too
+      -> [driver] fold_hot_runs                    # hot runs -> one file,
+                                                   #   dims from the partials
 
 The execution grain is B merge tasks (``merge_tasks``): one per cluster
 CPU, more when the delivery's Parquet footers count over
@@ -40,10 +42,9 @@ import ray.data as rd
 
 from ..config import ReplaySpec, out_paths
 from ..sources.changes import read_changes
-from ..stages import dims as dims_mod
 from ..stages import routing
 from ..stages.exchange import keyed_fold
-from ..stages.merge import PartitionMerger, reduce_hot_rows
+from ..stages.merge import PartitionMerger, fold_hot_runs, reduce_hot_rows
 from ..stages.normalize import Normalizer
 from ..state import manifest as mf
 from ..util import cluster_cpus, worker_runtime_env
@@ -329,6 +330,7 @@ def _replay_impl(
         _atomic_write,
         _bump_salted_watermarks,
         extract_keys_from_parts,
+        hot_file,
         remove_keys_from_parts,
     )
 
@@ -348,14 +350,12 @@ def _replay_impl(
             spec.out_dir, newly_hot, spec.num_partitions
         )
         if len(extracted):
-            # hot-*.parquet glob + LWW reduce below absorbs this file
-            # exactly like a hot-run file, so no in-memory hand-off needed
-            _atomic_write(
-                extracted,
-                os.path.join(paths["path_dim"], f"hot-transition-{run_id}.parquet"),
-            )
+            # the end-of-run fold absorbs this file exactly like a hot
+            # run, so no in-memory hand-off needed
+            _atomic_write(extracted, hot_file(paths["path_dim"], f"transition-{run_id}"))
             _bump_salted_watermarks(
-                spec.out_dir, extracted, spec.num_partitions, spec.salt_buckets
+                spec.out_dir, extracted, spec.num_partitions, spec.salt_buckets,
+                spec.schema_version,
             )
             remove_keys_from_parts(spec.out_dir, newly_hot, spec.num_partitions)
 
@@ -392,47 +392,15 @@ def _replay_impl(
         modifier_names=tuple(s.name for s in modifier_specs),
         state_cap_rows=spec.state_cap_rows,
     )
-    hot_rows_ds = merged_groups(norm, merger_kwargs, spec.num_partitions, rows)
-
-    # hot winners: tiny (|hot keys| x salt_buckets rows) -> driver reduce
-    # materialize() executes the merge exactly once; the result (hot-key
-    # winners only) is tiny.  to_arrow_refs() on the raw plan would trigger
-    # a second full execution for schema inference.
-    hot_mat = hot_rows_ds.materialize()
+    # materialize() executes the merge exactly once; every partition writes
+    # its outputs (hot-key winners included) before its manifest commits it
+    merged = merged_groups(norm, merger_kwargs, spec.num_partitions, rows).materialize()
     if os.environ.get("GRAFT_REPLAY_STATS"):  # per-stage wall-time breakdown
-        print(hot_mat.stats(), file=sys.stderr)
-    hot_tbls = [t for t in ray.get(hot_mat.to_arrow_refs()) if len(t)]
-    # extracted pre-transition state is already on disk as
-    # hot-transition-<run_id>.parquet (written before the merge) and joins
-    # the fold via the hot-*.parquet glob below — a key's state lives
-    # exclusively in hot runs (otherwise dimension partials double-count it)
-
-    folded = None
-    if hot_tbls:
-        folded = reduce_hot_rows(pa.concat_tables(hot_tbls))
-        _atomic_write(
-            folded, os.path.join(paths["path_dim"], f"hot-{run_id}.parquet")
-        )
-    # all hot runs (incl. prior update-mode runs), LWW-reduced, contribute
-    # the live counts the partition partials exclude
-    hot_files = sorted(glob.glob(os.path.join(paths["path_dim"], "hot-*.parquet")))
-    hot_all = None
-    if hot_files:
-        hot_all = reduce_hot_rows(
-            pa.concat_tables([pq.read_table(f) for f in hot_files])
-        )
-
-    # dims: fold the per-partition partials the mergers wrote (tiny driver
-    # reduce — the fact table is never re-read)
+        print(merged.stats(), file=sys.stderr)
+    # one fold of every hot run (this run's, prior runs', a skipped
+    # partition's, the transition file) and the dims from the partials
+    fold_hot_runs(spec.out_dir, reduce_hot_rows)
     summary: dict = {"run_id": run_id, "out": paths}
-    repo_t, lang_t, mod_t = dims_mod.fold_dim_partials(paths["_dimpart"], hot_all)
-    if len(repo_t):
-        _atomic_write(repo_t, os.path.join(paths["repo_dim"], "repo_dim.parquet"))
-        _atomic_write(lang_t, os.path.join(paths["lang_dim"], "lang_dim.parquet"))
-    if len(mod_t):
-        _atomic_write(
-            mod_t, os.path.join(paths["modifier_dim"], "modifier_dim.parquet")
-        )
 
     from .. import __version__ as _engine_version
 

@@ -26,11 +26,11 @@ import pyarrow.parquet as pq
 
 def _table_row_counts(out_dir: str) -> dict[str, int]:
     """Footer-only PHYSICAL row counts per output table (no data read).
-    For LSM-run tables (path_dim with hot-*.parquet runs) this counts
-    file rows, not logically-deduped keys — each update run's hot file
-    re-states its keys, so path_dim can exceed the merge-on-read count
-    until compaction folds the runs (the GATHER_TABLE_STATS analog has
-    the same physical-rows semantics)."""
+    For path_dim this counts file rows, not merge-on-read keys.  A finished
+    replay folds its hot-key runs into one file, so the two agree; the runs
+    a crashed run left re-state keys until the next replay or compaction
+    folds them (the GATHER_TABLE_STATS analog has the same physical-rows
+    semantics)."""
     counts: dict[str, int] = {}
     for d in sorted(glob.glob(os.path.join(out_dir, "*"))):
         name = os.path.basename(d)
@@ -53,7 +53,9 @@ def pre_stats_snapshot(spec, run_id: str) -> dict:
 
 def post_compact(spec, run_id: str, summary: dict) -> dict:
     """Post-hook: LSM-compact the hot-key state files (the natural
-    'rebuild indexes after load' payload — stages.merge.compact_path_dim)."""
+    'rebuild indexes after load' payload — stages.merge.compact_path_dim).
+    The replay has already folded its own runs, so this reports the hot
+    key count and folds only what an earlier crashed run left."""
     from ..stages.merge import compact_path_dim
 
     n = compact_path_dim(spec.out_dir)

@@ -7,8 +7,9 @@ tag) contributed, across all partitions of the star schema.
 Physical plan: one Ray task per output partition file (partition-parallel,
 no shuffle — the delete predicate is a per-row filter), rewriting fact /
 path_dim / hot files in place (atomic tmp+rename) and refreshing each
-touched partition's dimension partial so the driver can re-fold repo/lang
-dims.  Retracted fact rows are archived rather than destroyed (the
+touched partition's dimension partial; then the replay's hot-run fold
+(``stages.merge.fold_hot_runs``) re-folds the dims.  Retracted fact rows
+are archived rather than destroyed (the
 reference's archive-keeps-history rule): each retraction run writes its
 own ``archive/retractions/<run_id>/`` directory, so successive
 retractions never overwrite each other's history and the merge-written
@@ -21,12 +22,11 @@ import glob
 import os
 
 import polars as pl
-import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
 from ..schemas import PATH_DIM, ensure_columns
-from ..stages.merge import _atomic_write
+from ..stages.merge import _atomic_write, _repo_live, fold_hot_runs
 
 
 @ray.remote
@@ -60,18 +60,7 @@ def _retract_path_file(path: str, langs: tuple, dimpart_dir: str | None) -> int:
     base = os.path.basename(path)
     if dimpart_dir is not None and base.startswith("part-"):
         dp_path = os.path.join(dimpart_dir, base)
-        fresh_live = (
-            keep.filter(pl.col("delete_date").is_null())
-            .group_by("repo")
-            .agg(pl.len().cast(pl.Int64).alias("live"))
-            .select(
-                pl.lit("repo_live").alias("kind"),
-                pl.col("repo").alias("key"),
-                pl.lit(None, dtype=pl.Int64).alias("mn"),
-                pl.lit(None, dtype=pl.Int64).alias("mx"),
-                "live",
-            )
-        )
+        fresh_live = _repo_live(keep)
         if os.path.exists(dp_path):
             prior = pl.from_arrow(pq.read_table(dp_path)).filter(
                 pl.col("kind") != "repo_live"
@@ -89,8 +78,8 @@ def retract_source(
     run_id: str | None = None,
 ) -> dict:
     """Retract all rows a source system (``lang``) contributed, across every
-    partition.  Returns counts.  ``refold_dims=True`` rebuilds
-    repo_dim/lang_dim from the refreshed partials (min/max seq bounds keep
+    partition.  Returns counts.  ``refold_dims=True`` folds the hot runs
+    and rebuilds the dims from the refreshed partials (min/max seq bounds keep
     their historical values — the reference's DELETE likewise leaves other
     tables' audit columns untouched).  ``run_id`` names this retraction's
     archive directory (auto-numbered when omitted) so repeated retractions
@@ -144,19 +133,5 @@ def retract_source(
         "run_id": run_id,
     }
     if refold_dims:
-        from ..stages import dims as dims_mod
-        from ..stages.merge import reduce_hot_rows
-
-        hot_files = sorted(glob.glob(os.path.join(out_dir, "path_dim", "hot-*.parquet")))
-        hot_all = None
-        if hot_files:
-            hot_all = reduce_hot_rows(
-                pa.concat_tables(
-                    [ensure_columns(pq.read_table(f), PATH_DIM) for f in hot_files]
-                )
-            )
-        repo_t, lang_t, mod_t = dims_mod.fold_dim_partials(dimpart, hot_all)
-        if len(repo_t):
-            _atomic_write(repo_t, os.path.join(out_dir, "repo_dim", "repo_dim.parquet"))
-            _atomic_write(lang_t, os.path.join(out_dir, "lang_dim", "lang_dim.parquet"))
+        fold_hot_runs(out_dir)
     return summary

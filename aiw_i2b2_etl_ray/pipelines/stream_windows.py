@@ -43,7 +43,8 @@ import ray.data as rd
 from ..sources.changes import read_changes
 from ..stages import routing
 from ..stages.exchange import keyed_fold
-from ..stages.merge import _atomic_json, _atomic_write
+from ..stages.merge import _atomic_write
+from ..state.manifest import atomic_json
 from ..util import worker_runtime_env
 
 WINDOW_SEQS = 1000  # window width in commit_seq units
@@ -143,7 +144,7 @@ def update_windows(
                 {b"watermark_seq": str(wm_new).encode()}
             )
             _atomic_write(state, _part_file(out_dir, pid))
-        _atomic_json(
+        atomic_json(
             {"partition_id": pid, "watermark_seq": wm_new}, _wm_file(out_dir, pid)
         )
         return {
@@ -162,12 +163,12 @@ def update_windows(
 
     os.makedirs(os.path.join(out_dir, "window_counts"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "_window_manifest"), exist_ok=True)
-    _atomic_json({"num_partitions": num_partitions, "routing_id": routing.routing_id()}, jm_path)
+    atomic_json({"num_partitions": num_partitions, "routing_id": routing.routing_id()}, jm_path)
     summary = keyed_fold(routed, "_pid", fold_partitions, num_partitions).to_pandas()
+    # an empty micro-batch folds no partition: the summary has no columns
     return {
         "partitions": len(summary),
-        "rows_folded": int(summary["rows_folded"].sum()),
-        "rows_skipped": int(summary["rows_skipped"].sum()),
+        **{k: int(summary[k].sum()) if k in summary else 0 for k in ("rows_folded", "rows_skipped")},
     }
 
 

@@ -111,20 +111,9 @@ def fold_dim_partials(dimpart_dir: str, hot_path_dim: pa.Table | None = None):
         )
     parts = [pl.from_arrow(pq.read_table(f)) for f in files]
     if hot_path_dim is not None and len(hot_path_dim):
-        hot_live = (
-            pl.from_arrow(hot_path_dim)
-            .filter(pl.col("delete_date").is_null())
-            .group_by("repo")
-            .agg(pl.len().cast(pl.Int64).alias("live"))
-            .select(
-                pl.lit("repo_live").alias("kind"),
-                pl.col("repo").alias("key"),
-                pl.lit(None, dtype=pl.Int64).alias("mn"),
-                pl.lit(None, dtype=pl.Int64).alias("mx"),
-                "live",
-            )
-        )
-        parts.append(hot_live)
+        from .merge import _repo_live
+
+        parts.append(_repo_live(pl.from_arrow(hot_path_dim)))
     agg = (
         pl.concat(parts)
         .group_by(["kind", "key"])

@@ -37,17 +37,18 @@ loops):
    checkpoint the resume path reads.
 
 Hot-key handling (LSM-style): salted sub-partitions each produce their own
-winner for a hot key; those rows are *returned* instead of written, and the
-driver folds them with a final tiny per-key reduce into a separate sorted
-run (``path_dim/hot-*.parquet``).  ``load_path_dim`` therefore performs
-last-writer-wins merge-on-read across runs, and ``compact_path_dim``
-folds runs back into canonical partition files — exactly an LSM merge.
+winner for a hot key.  Those rows are one more partition output: each
+partition writes them to its own hot run (``path_dim/hot-<run>-<pid>.parquet``)
+before its manifest commits it, so a committed partition's winners are
+durable.  At the end of a run :func:`fold_hot_runs` reduces every hot run
+per key into one file and deletes the runs it folded — exactly an LSM
+merge.  Until then ``load_path_dim``'s last-writer-wins merge-on-read sees
+the runs as they are.
 """
 
 from __future__ import annotations
 
 import glob
-import json
 import os
 import uuid
 
@@ -55,9 +56,9 @@ import polars as pl
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .. import __version__ as _ENGINE_VERSION
 from ..schemas import ARCHIVE, CHANGE_FACT, PATH_DIM, REJECTED, ensure_columns
-from . import routing
+from ..state import manifest as mf
+from . import dims, routing
 
 _MERGED_COLS = [
     "repo",
@@ -70,9 +71,11 @@ _MERGED_COLS = [
     "content_len",
     "size",
 ]
-#: the merge's part-file tables and their schemas, in write order
+#: the merge's per-partition outputs and their schemas, in write order
+#: (``hot``: the partition's hot-key winners, a run of ``path_dim``)
 _SCHEMAS = {
     "path_dim": PATH_DIM,
+    "hot": PATH_DIM,
     "change_fact": CHANGE_FACT,
     "rejected": REJECTED,
     "archive": ARCHIVE,
@@ -104,11 +107,10 @@ class _StreamingWriter:
         os.replace(self.tmp, self.path)
 
 
-def _atomic_json(obj: dict, path: str) -> None:
-    tmp = f"{path}.tmp-{uuid.uuid4().hex[:8]}"
-    with open(tmp, "w") as f:
-        json.dump(obj, f)
-    os.replace(tmp, path)
+def hot_file(path_dim_dir: str, name: str) -> str:
+    """A hot-key state file of ``path_dim``; every name matches the
+    ``hot-*.parquet`` glob that the fold and merge-on-read read."""
+    return os.path.join(path_dim_dir, f"hot-{name}.parquet")
 
 
 def _arrow(df: pl.DataFrame, schema: pa.Schema) -> pa.Table:
@@ -204,8 +206,8 @@ class PartitionMerger:
     A block may hold any number of partitions (``pkey`` values).
 
     emit:
-        "checkpoint" — side-write partition outputs + manifests; return hot
-                       rows (PATH_DIM schema) for the driver's final reduce.
+        "checkpoint" — write partition outputs (hot-key winners included)
+                       + manifests; return an empty PATH_DIM table.
         "path_dim"   — pure: return every converged path_dim row.
         "fact"       — pure: return applied change_fact rows.
     """
@@ -344,7 +346,7 @@ class PartitionMerger:
         # as row groups — so the merge working set is O(cap) and at most one
         # partition's files are open at a time.
         prior_rej = self._prior_rejected(g) if self.mode == "update" else None
-        hot, partials, counts, written = [], [], [], set()
+        partials, counts, written = [], [], set()
         for run in self._runs(g, pids):
             sub = g if len(run) == len(pids) else g.filter(pl.col("pkey").is_in(run))
             cap = self.state_cap_rows
@@ -368,7 +370,6 @@ class PartitionMerger:
                                 writers[path] = _StreamingWriter(path, schema)
                             writers[path].write(t)
                         written.add((table, pid))
-                hot.append(out["hot"])
                 partials.append(out["partials"])
                 counts.append(out["counts"])
             for w in writers.values():
@@ -386,8 +387,13 @@ class PartitionMerger:
             if pid in dim_parts:
                 _atomic_write(dim_parts[pid], self._path("_dimpart", pid))
             # the manifest commits the partition, so it is written last
-            self._commit_manifest(pid, totals.get(pid, {}))
-        return _arrow(pl.concat(hot), PATH_DIM)
+            c = totals.get(pid, {})
+            mf.write_partition(
+                os.path.dirname(self.out_dirs["_manifest"]), pid,
+                max(self.watermarks.get(pid, -1), c.get("wm", -1)), run_id=self.run_id,
+                schema_version=self.schema_version, counts=c,
+            )
+        return PATH_DIM.empty_table()
 
     def _runs(self, g: pl.DataFrame, pids: list) -> list:
         """The block's partitions grouped into merge runs: one run of all of
@@ -407,6 +413,8 @@ class PartitionMerger:
 
     def _path(self, table: str, pid: int) -> str:
         """A partition's file of ``table``; per-run tables carry the run id."""
+        if table == "hot":
+            return hot_file(self.out_dirs["path_dim"], f"{self.run_id}-{pid:05d}")
         per_run = table in ("rejected", "archive") or (
             table == "change_fact" and self.mode != "replace"
         )
@@ -493,33 +501,10 @@ class PartitionMerger:
     def _totals(counts: pl.DataFrame) -> dict:
         """Per-partition lineage counters over every slice's counter parts."""
         totals = counts.group_by("pkey").agg(
-            pl.col("applied", "dups", "conflicts", "rejected").sum(), pl.col("wm").max()
+            pl.col("applied", "dups", "conflicts", "rejected").sum(),
+            pl.col("wm").max().fill_null(-1),
         )
         return {r.pop("pkey"): r for r in totals.iter_rows(named=True)}
-
-    def _commit_manifest(self, pid: int, c: dict):
-        # manifest commit point — MUST be last (resume reads this).
-        # rows_applied counts APPLIED EVENTS (base rows), not fan-out rows
-        prev = {}
-        mpath = os.path.join(self.out_dirs["_manifest"], f"part-{pid:05d}.json")
-        if os.path.exists(mpath):
-            with open(mpath) as f:
-                prev = json.load(f)
-        wm = max(self.watermarks.get(pid, -1), c.get("wm") if c.get("wm") is not None else -1)
-        _atomic_json(
-            {
-                "partition_id": pid,
-                "watermark_seq": wm,
-                "rows_applied": prev.get("rows_applied", 0) + c.get("applied", 0),
-                "dups_dropped": prev.get("dups_dropped", 0) + c.get("dups", 0),
-                "conflicts_resolved": prev.get("conflicts_resolved", 0) + c.get("conflicts", 0),
-                "rows_rejected": prev.get("rows_rejected", 0) + c.get("rejected", 0),
-                "schema_version": self.schema_version,
-                "run_id": self.run_id,
-                "engine_version": _ENGINE_VERSION,
-            },
-            mpath,
-        )
 
 
 def _drop_redelivered_null_seq(rej: pl.DataFrame, prior: pl.DataFrame) -> pl.DataFrame:
@@ -536,7 +521,8 @@ def _drop_redelivered_null_seq(rej: pl.DataFrame, prior: pl.DataFrame) -> pl.Dat
 
 
 def reduce_hot_rows(hot: pa.Table) -> pa.Table:
-    """Final per-key reduce across salt buckets: keep max last_commit_seq."""
+    """The per-key last-writer-wins reduce of ``path_dim`` runs: keep each
+    ``(repo, path)``'s row with the max ``last_commit_seq``."""
     if len(hot) == 0:
         return hot
     df = (
@@ -548,31 +534,51 @@ def reduce_hot_rows(hot: pa.Table) -> pa.Table:
     return ensure_columns(df.to_arrow(), PATH_DIM)
 
 
-def compact_path_dim(out_dir: str) -> int:
-    """LSM compaction: consolidate all hot-run files into ONE LWW-reduced
-    hot file.  Returns the number of hot keys in it.
+def fold_hot_runs(out_dir: str, reduce=reduce_hot_rows) -> pa.Table:
+    """The hot-key fold, run at the end of every replay, compaction and
+    retraction: reduce every ``hot-*.parquet`` run per key with ``reduce``,
+    write the result as one file, only then delete the runs it folded, and
+    refold repo/lang/modifier dims from ``_dimpart`` plus the folded winners
+    (which partition partials exclude).  A crash between the write and the
+    deletes leaves duplicate rows, which the next fold and merge-on-read
+    absorb.  Returns the folded winners.  The replay passes the
+    ``reduce_hot_rows`` it imports as ``reduce``, so a wrapper installed on
+    ``cdc_replay`` sees the replay's fold.
 
-    Deliberately consolidation-only, never re-homing into partition files:
-    the engine's state invariant is that a key in the persisted hot set
-    lives EXCLUSIVELY in hot files (partition files + their dimension
-    partials never contain it), and a key must stay in the hot set forever
-    once salted (its event->partition routing is watermark-committed).
-    Re-homing would put hot-key state back into partition files while
-    future events still route salted — double-counting dimensions and
-    splitting state."""
-    hot_files = sorted(glob.glob(os.path.join(out_dir, "path_dim", "hot-*.parquet")))
-    if len(hot_files) <= 1:  # one run is already reduced per key
-        return sum(pq.read_metadata(f).num_rows for f in hot_files)
-    hot = reduce_hot_rows(pa.concat_tables([pq.read_table(f) for f in hot_files]))
-    _atomic_write(hot, os.path.join(out_dir, "path_dim", "hot-compacted.parquet"))
-    for f in hot_files:
-        if not f.endswith("hot-compacted.parquet"):
-            os.remove(f)
-    return len(hot)
+    Deliberately never re-homes keys into partition files: a key in the
+    persisted hot set lives EXCLUSIVELY in hot files (partition files and
+    their dimension partials never hold it), and it stays in that set once
+    salted (its event->partition routing is watermark-committed).  Re-homing
+    would double-count dimensions and split state."""
+    path_dim_dir = os.path.join(out_dir, "path_dim")
+    runs = sorted(glob.glob(hot_file(path_dim_dir, "*")))
+    folded, hot = hot_file(path_dim_dir, "folded"), PATH_DIM.empty_table()
+    if runs:
+        hot = reduce(pa.concat_tables([ensure_columns(pq.read_table(f), PATH_DIM) for f in runs]))
+        if runs != [folded]:
+            _atomic_write(hot, folded)
+            for f in runs:
+                if f != folded:
+                    os.remove(f)
+    repo_t, lang_t, mod_t = dims.fold_dim_partials(os.path.join(out_dir, "_dimpart"), hot)
+    if len(repo_t):
+        _atomic_write(repo_t, os.path.join(out_dir, "repo_dim", "repo_dim.parquet"))
+        _atomic_write(lang_t, os.path.join(out_dir, "lang_dim", "lang_dim.parquet"))
+    if len(mod_t):
+        _atomic_write(mod_t, os.path.join(out_dir, "modifier_dim", "modifier_dim.parquet"))
+    return hot
+
+
+def compact_path_dim(out_dir: str) -> int:
+    """LSM compaction: :func:`fold_hot_runs` on its own.  A finished replay
+    has already folded its runs, so this repairs what a crashed one left.
+    Returns the number of hot keys."""
+    return len(fold_hot_runs(out_dir))
 
 
 def _bump_salted_watermarks(
-    out_dir: str, extracted: pa.Table, num_partitions: int, salt_buckets: int
+    out_dir: str, extracted: pa.Table, num_partitions: int, salt_buckets: int,
+    schema_version: int = 1,
 ) -> None:
     """For each newly-hot key, raise the watermark of every salt bucket the
     key can route to, up to the key's expunged last_commit_seq: a
@@ -588,26 +594,9 @@ def _bump_salted_watermarks(
         for pid in row:
             bumps[pid] = max(bumps.get(pid, -1), int(seq))
     for pid, seq in bumps.items():
-        mpath = os.path.join(out_dir, "_manifest", f"part-{pid:05d}.json")
-        # fresh records carry run_id=None, NOT the current run's id: the
-        # bump runs BEFORE the merge, and a crash-resume must not mistake a
-        # bump-only manifest for a partition this run already committed.
-        rec = {
-            "partition_id": pid,
-            "watermark_seq": -1,
-            "rows_applied": 0,
-            "dups_dropped": 0,
-            "conflicts_resolved": 0,
-            "rows_rejected": 0,
-            "schema_version": 1,
-            "run_id": None,
-        }
-        if os.path.exists(mpath):
-            with open(mpath) as f:
-                rec = json.load(f)
-        if rec.get("watermark_seq", -1) < seq:
-            rec["watermark_seq"] = seq
-            _atomic_json(rec, mpath)
+        # no run_id: the bump runs BEFORE the merge, and a crash-resume must
+        # not mistake a bump-only manifest for a partition this run committed
+        mf.write_partition(out_dir, pid, seq, schema_version=schema_version)
 
 
 def _home_parts(out_dir: str, keys: set[str], num_partitions: int):
@@ -662,11 +651,6 @@ def load_path_dim(out_dir: str) -> pa.Table:
     files = sorted(glob.glob(os.path.join(out_dir, "path_dim", "*.parquet")))
     if not files:
         return PATH_DIM.empty_table()
-    t = pa.concat_tables([ensure_columns(pq.read_table(f), PATH_DIM) for f in files])
-    df = (
-        pl.from_arrow(t)
-        .sort("last_commit_seq", maintain_order=True)
-        .group_by(["repo", "path"], maintain_order=True)
-        .last()
+    return reduce_hot_rows(
+        pa.concat_tables([ensure_columns(pq.read_table(f), PATH_DIM) for f in files])
     )
-    return ensure_columns(df.to_arrow(), PATH_DIM)

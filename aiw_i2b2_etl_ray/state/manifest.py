@@ -17,22 +17,72 @@ from __future__ import annotations
 import glob
 import json
 import os
+import uuid
 
 import pyarrow as pa
 
+from .. import __version__ as _ENGINE_VERSION
 from ..schemas import MANIFEST
+
+
+def atomic_json(obj: dict, path: str) -> None:
+    """Write ``obj`` as JSON to ``path`` atomically (tmp file + rename)."""
+    tmp = f"{path}.tmp-{uuid.uuid4().hex[:8]}"
+    with open(tmp, "w") as f:
+        json.dump(obj, f)
+    os.replace(tmp, path)
 
 
 def manifest_dir(out_dir: str) -> str:
     return os.path.join(out_dir, "_manifest")
 
 
+def _read_json(path: str) -> dict:
+    if not os.path.exists(path):
+        return {}
+    with open(path) as f:
+        return json.load(f)
+
+
+def write_partition(
+    out_dir: str,
+    pid: int,
+    watermark_seq: int,
+    *,
+    run_id: str | None = None,
+    schema_version: int = 1,
+    counts: dict | None = None,
+) -> None:
+    """The one writer of a partition's manifest record, a read-modify-write
+    of ``_manifest/part-<pid>.json``.  The watermark never goes down, and
+    ``counts`` (``applied``/``dups``/``conflicts``/``rejected``) add to the
+    prior record's lineage counters (``applied`` counts applied events, not
+    fan-out rows).  ``run_id`` names the run that commits
+    the partition; None keeps the prior record's (None for a fresh one), so
+    a watermark bump is never mistaken for a commit by a crash-resume."""
+    path = os.path.join(manifest_dir(out_dir), f"part-{pid:05d}.json")
+    prev, c = _read_json(path), counts or {}
+    atomic_json(
+        {
+            "partition_id": pid,
+            "watermark_seq": max(prev.get("watermark_seq", -1), watermark_seq),
+            "rows_applied": prev.get("rows_applied", 0) + c.get("applied", 0),
+            "dups_dropped": prev.get("dups_dropped", 0) + c.get("dups", 0),
+            "conflicts_resolved": prev.get("conflicts_resolved", 0) + c.get("conflicts", 0),
+            "rows_rejected": prev.get("rows_rejected", 0) + c.get("rejected", 0),
+            "schema_version": schema_version,
+            "run_id": prev.get("run_id") if run_id is None else run_id,
+            "engine_version": _ENGINE_VERSION,
+        },
+        path,
+    )
+
+
 def read_manifest(out_dir: str) -> list[dict]:
-    recs = []
-    for f in sorted(glob.glob(os.path.join(manifest_dir(out_dir), "part-*.json"))):
-        with open(f) as fh:
-            recs.append(json.load(fh))
-    return recs
+    return [
+        _read_json(f)
+        for f in sorted(glob.glob(os.path.join(manifest_dir(out_dir), "part-*.json")))
+    ]
 
 
 def watermarks(out_dir: str) -> dict[int, int]:
@@ -60,20 +110,12 @@ def write_job_manifest(out_dir: str, payload: dict) -> None:
     watermark covers it.  So update-mode runs must reuse the same
     num_partitions/salt_buckets AND keep previously-hot keys salted even if
     this run's sample wouldn't flag them."""
-    import uuid
-
-    tmp = job_manifest_path(out_dir) + f".tmp-{uuid.uuid4().hex[:8]}"
-    with open(tmp, "w") as f:
-        json.dump(payload, f)
-    os.replace(tmp, job_manifest_path(out_dir))
+    atomic_json(payload, job_manifest_path(out_dir))
 
 
 def read_job_manifest(out_dir: str) -> dict | None:
     p = job_manifest_path(out_dir)
-    if not os.path.exists(p):
-        return None
-    with open(p) as f:
-        return json.load(f)
+    return _read_json(p) if os.path.exists(p) else None
 
 
 def manifest_table(out_dir: str) -> pa.Table:

@@ -32,22 +32,21 @@ def _mk(repo, path, commits, seq0, op="U", lang="c"):
 
 
 def test_compaction_consolidates_hot_runs(tmp_path, tiny_changes, tiny_oracle):
-    """Two salted runs leave two hot files; compaction folds them into one
-    and converged state is unchanged."""
+    """Each salted run folds its hot runs into one file; compaction keeps
+    that file and the converged state."""
     spec = ReplaySpec(
         out_dir=str(tmp_path / "out"), num_partitions=8, salt_buckets=4, hot_key_threshold=50
     )
     replay(tiny_changes, spec, run_id="c1")
-    # a second update run with a redelivery slice produces a 2nd hot file
+    # a second update run with a redelivery slice adds hot runs of its own
     spec_u = ReplaySpec(
         out_dir=spec.out_dir, num_partitions=8, salt_buckets=4, hot_key_threshold=50, mode="update"
     )
     replay(tiny_changes, spec_u, run_id="c2")
     hd = os.path.join(spec.out_dir, "path_dim", "hot-*.parquet")
-    if len(glob.glob(hd)) >= 2:
-        n = compact_path_dim(spec.out_dir)
-        assert n > 0
-        assert len(glob.glob(hd)) == 1
+    assert len(glob.glob(hd)) == 1
+    assert compact_path_dim(spec.out_dir) > 0
+    assert len(glob.glob(hd)) == 1
     assert_table_eq(load_path_dim(spec.out_dir), tiny_oracle.path_dim, ["repo", "path"])
 
 

@@ -4,6 +4,7 @@ incremental update, schema evolution, hot-key salting."""
 import glob
 import os
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 import ray.data as rd
@@ -265,3 +266,35 @@ def test_null_seq_rejects_not_reaccumulated(tmp_path):
         replay(d, spec_u, run_id=rid)
     rej = _read_dir(paths["rejected"])
     assert rej.num_rows == 4, f"rejected table grew to {rej.num_rows}"
+
+
+def test_bump_only_manifest_has_the_committed_keys(tmp_path, tiny_changes):
+    """The salt buckets' watermark bump and the merge's commit write one
+    record shape; a bump never takes a run id, so a resume cannot mistake a
+    bump-only partition for a committed one."""
+    from aiw_i2b2_etl_ray.stages.merge import _bump_salted_watermarks
+
+    spec = ReplaySpec(out_dir=str(tmp_path / "out"), num_partitions=8, salt_buckets=1, hot_key_threshold=0)
+    replay(tiny_changes, spec, run_id="c1")
+    committed = mf.read_manifest(spec.out_dir)
+    key = load_path_dim(spec.out_dir).slice(0, 1)
+    seq = key["last_commit_seq"][0].as_py()
+
+    fresh = str(tmp_path / "fresh")
+    os.makedirs(os.path.join(fresh, "_manifest"))
+    _bump_salted_watermarks(fresh, key, 8, 4)
+    bumped = mf.read_manifest(fresh)
+    assert bumped
+    for rec in bumped:
+        assert rec.keys() == committed[0].keys()
+        assert rec["run_id"] is None and rec["watermark_seq"] == seq
+        assert rec["engine_version"] == committed[0]["engine_version"]
+
+    # on committed partitions the bump raises the watermark, keeps the rest
+    i = key.schema.get_field_index("last_commit_seq")
+    _bump_salted_watermarks(spec.out_dir, key.set_column(i, "last_commit_seq", pa.array([10**9])), 8, 4)
+    after = {r["partition_id"]: r for r in mf.read_manifest(spec.out_dir)}
+    for rec in bumped:
+        pid = rec["partition_id"]
+        before = next(r for r in committed if r["partition_id"] == pid)
+        assert after[pid] == {**before, "watermark_seq": 10**9}

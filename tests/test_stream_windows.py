@@ -153,3 +153,15 @@ def test_crash_between_state_and_manifest_does_not_double_count(
     s = update_windows(rd.from_arrow(full), out, num_partitions=4)
     assert s["rows_folded"] == 0, "footer watermark must reject redelivery"
     assert_table_eq(load_windows(out), before, ["repo", "window_id"])
+
+
+def test_empty_micro_batch_folds_nothing(log_dir, tmp_path, ray_session):
+    """A micro-batch with no rows returns zero counts and leaves the state
+    as it was."""
+    full = read_changes_table(log_dir)
+    out = str(tmp_path / "out")
+    update_windows(_slice_ds(full, 0, 1000), out, num_partitions=4)
+    before = load_windows(out)
+    summary = update_windows(rd.from_arrow(full.slice(0, 0)), out, num_partitions=4)
+    assert summary == {"partitions": 0, "rows_folded": 0, "rows_skipped": 0}
+    assert load_windows(out).equals(before)
