@@ -19,7 +19,11 @@ CPU, more when the delivery's Parquet footers count over
 It is set by the cluster and the delivery, not by Ray's read split nor by
 the durable partition count: ``num_partitions`` part files, watermarks and
 manifests are as before, and a small delivery is read unsplit so Ray
-fuses the read with the Normalizer.
+fuses the read with the Normalizer.  The read+normalize tasks, and then
+the B merge tasks, are each dispatched as one wave: ``keyed_fold`` runs
+the plan with Ray Data's per-operator reservation off, which had run the
+normalize tasks one at a time and, at a 512 MiB object store, the merge
+in two waves.
 
 Reference lifecycle parity (dest/I2b2QueryResultsHandler.java): start() ->
 config + broadcast state; handleQueryResult -> Normalizer; finish() ->
@@ -146,7 +150,9 @@ def merge_tasks(num_partitions: int, rows: int = 0) -> int:
     ``rows`` (the delivery's row count, when known) would give a task over
     ``MERGE_ROWS_PER_TASK`` rows, and never more than there are partitions:
     a task holds at most max(rows / num_partitions, MERGE_ROWS_PER_TASK)
-    rows, give or take the key skew."""
+    rows, give or take the key skew.  Up to one per CPU, the B tasks start
+    together (``keyed_fold`` turns off the reservation that held them back
+    to one task before a first one reported its output size)."""
     by_rows = -(-rows // MERGE_ROWS_PER_TASK)
     return max(1, min(num_partitions, max(cluster_cpus(), by_rows)))
 
@@ -182,42 +188,6 @@ def replay(
     modifier_specs: tuple = (),
     _debug_skip_partitions=None,
 ) -> dict:
-    """Entry point: runs :func:`_replay_impl` under the push-based sort
-    shuffle (the multi-node-friendly scatter), restoring the session
-    DataContext afterwards."""
-    from ray.data.context import DataContext, ShuffleStrategy
-
-    ctx = DataContext.get_current()
-    prev = ctx.shuffle_strategy
-    ctx.shuffle_strategy = ShuffleStrategy.SORT_SHUFFLE_PUSH_BASED
-    # NOTE: ShuffleStrategy.HASH_SHUFFLE was evaluated for this exchange
-    # (the merge needs co-location, not order, so a sort looks like wasted
-    # work) and REJECTED: with every stage on tasks, a 40k-event replay
-    # under it had not finished after 300 s on 4 CPUs (by default it asks
-    # for 64 aggregator actors: 16 CPUs, 33 GiB).  Push and pull sort
-    # shuffles were within noise there (1.08 s vs 0.97 s median of 7).
-    try:
-        return _replay_impl(
-            input_path,
-            spec,
-            resume=resume,
-            run_id=run_id,
-            modifier_specs=modifier_specs,
-            _debug_skip_partitions=_debug_skip_partitions,
-        )
-    finally:
-        ctx.shuffle_strategy = prev
-
-
-def _replay_impl(
-    input_path: str | rd.Dataset,
-    spec: ReplaySpec,
-    *,
-    resume: bool = False,
-    run_id: str | None = None,
-    modifier_specs: tuple = (),
-    _debug_skip_partitions=None,
-) -> dict:
     """Full checkpointed replay.  Returns output paths + lineage summary.
 
     - ``spec.mode == "replace"``: fresh build (existing outputs cleared).
@@ -228,6 +198,12 @@ def _replay_impl(
       *this* run_id are skipped wholesale before the shuffle.
     - ``_debug_skip_partitions``: test hook simulating a mid-run crash (the
       listed partitions are dropped before merge, leaving them uncommitted).
+
+    The exchange runs Ray Data's default pull-based sort in the
+    ``DataContext`` that ``keyed_fold`` gives the executed plan, so a path
+    and a caller's Dataset run the same schedule and neither the caller's
+    Dataset nor the process-wide context is changed.  The push-based sort
+    was no faster at 4 CPUs and held more memory (BASELINE.md).
     """
     run_id = run_id or uuid.uuid4().hex[:8]
     paths = out_paths(spec)

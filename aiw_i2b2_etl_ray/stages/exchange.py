@@ -13,6 +13,17 @@ bucket lands in exactly one block, so every key's rows reach exactly one
 kernel call.  A kernel therefore sees many keys at once and groups them
 itself (polars ``group_by``, ``.over(key)``); there is no per-group
 dispatch, which dominated Ray's ``groupby().map_groups`` at ~10^4 groups.
+
+The B kernel calls are dispatched as one wave, and so are the tasks that
+feed the sort.  Ray Data's per-operator reservation (on by default) sets
+CPU aside for every operator of the plan, so the read ran one task at a
+time while the sort and the kernel held CPU they could not use before the
+sort's barrier, and until a first kernel task reports its output size the
+reservation's guess (2 x ``target_max_block_size``) admits one kernel task
+at a 512 MiB object store.  The sort materializes everything upstream of
+it anyway, so the returned plan runs with the reservation off, in a
+``DataContext`` of its own: the caller's Dataset and the process-wide
+context keep their settings.
 """
 
 from __future__ import annotations
@@ -43,7 +54,9 @@ def keyed_fold(
     input is coalesced into one block unsorted.  The block may carry the
     ``_bucket`` column the hash form adds, so a kernel selects the columns
     it returns; Ray calls it on no empty block.  It is passed to Ray as is,
-    so the operator is named ``MapBatches(<kernel>)``."""
+    so the operator is named ``MapBatches(<kernel>)``.  The returned
+    Dataset carries its own copy of ``ds``'s ``DataContext``, with the
+    per-operator reservation off."""
     b = max(1, min(num_buckets, tasks or cluster_cpus()))
     bounds = [num_buckets * i // b for i in range(1, b)]
     if b == 1:
@@ -57,10 +70,17 @@ def keyed_fold(
 
         ds = ds.map_batches(add_bucket, batch_format="pyarrow", **worker_runtime_env())
         ds = ds.sort("_bucket", boundaries=bounds)
-    return ds.map_batches(
+    out = ds.map_batches(
         kernel,
         batch_size=None,
         batch_format="pyarrow",
         fn_kwargs=fn_kwargs,
         **worker_runtime_env(),
     )
+    # a copy, on the fresh plan of ``out``'s last operator: Ray Data shares
+    # one context object along a chain of Datasets (the caller's too) and
+    # plans the whole DAG with the context of the Dataset that executes
+    ctx = out.context.copy()
+    ctx.op_resource_reservation_enabled = False
+    out._plan._context = out._logical_plan._context = ctx
+    return out

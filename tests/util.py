@@ -8,13 +8,13 @@ import pyarrow as pa
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: prologue of a script run by :func:`run_one_cpu`: its own Ray session
-#: with a single logical CPU and the kernel thread caps
-ONE_CPU_PROLOGUE = """
+#: prologue of a script run by :func:`run_in_session`: its own Ray session,
+#: started with the ``{init}`` keywords, and the kernel thread caps
+SESSION_PROLOGUE = """
 import ray
 from aiw_i2b2_etl_ray.util import cap_kernel_threads
 cap_kernel_threads()
-ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+ray.init(address="local", {init}, include_dashboard=False, logging_level="ERROR")
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
 """
@@ -63,16 +63,22 @@ def assert_table_eq(actual, expected, keys, *, ignore=()):
 
 
 def run_one_cpu(script: str, *args: str, timeout_s: int, what: str) -> str:
-    """Run ``ONE_CPU_PROLOGUE + script`` in a fresh interpreter (its own
-    ``num_cpus=1`` Ray session) and return its stdout; fail the test if
-    it does not finish ``what`` within ``timeout_s``."""
+    """:func:`run_in_session` in a ``num_cpus=1`` Ray session."""
+    return run_in_session(script, *args, init="num_cpus=1", timeout_s=timeout_s, what=what)
+
+
+def run_in_session(script: str, *args: str, init: str, timeout_s: int, what: str) -> str:
+    """Run ``script`` in a fresh interpreter, after a prologue that starts
+    its own Ray session with ``ray.init(..., <init>)``, and return its
+    stdout; fail the test if it does not finish ``what`` within
+    ``timeout_s``."""
     import pytest
 
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_ROOT + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("RAY_ADDRESS", None)
     proc = subprocess.Popen(
-        [sys.executable, "-c", ONE_CPU_PROLOGUE + script, *args],
+        [sys.executable, "-c", SESSION_PROLOGUE.format(init=init) + script, *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -85,6 +91,6 @@ def run_one_cpu(script: str, *args: str, timeout_s: int, what: str) -> str:
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        pytest.fail(f"num_cpus=1 {what} did not finish in {timeout_s} s")
+        pytest.fail(f"{init} {what} did not finish in {timeout_s} s")
     assert proc.returncode == 0, err[-2000:]
     return out
