@@ -159,9 +159,12 @@ def resolve_hook(path: str):
 
 
 def out_paths(spec: ReplaySpec) -> dict[str, str]:
-    """Output layout: one directory per logical table, one file per hash
-    partition inside, so a resumed run skips finished partitions (the
-    'resumable output' rule)."""
+    """Output layout: one directory per logical table.  ``path_dim`` holds
+    one part file per hash partition (plus hot-key runs); ``change_fact``,
+    ``rejected`` and ``archive`` hold one file per merge task, named by run
+    id and pkey range; ``_manifest`` holds one record per partition (its
+    watermark, lineage counters and dimension partials), so a resumed run
+    skips finished partitions (the 'resumable output' rule)."""
     return {
         name: os.path.join(spec.out_dir, name)
         for name in (
@@ -173,6 +176,5 @@ def out_paths(spec: ReplaySpec) -> dict[str, str]:
             "rejected",
             "archive",
             "_manifest",
-            "_dimpart",  # per-partition dimension partials (internal)
         )
     }

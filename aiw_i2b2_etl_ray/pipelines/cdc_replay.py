@@ -9,9 +9,10 @@ Logical plan (one wide shuffle total):
            sort at explicit boundaries,            #   stages.exchange
            map_batches(_merge_group, one per range)  # many pkeys a call;
                                                    #   writes every output,
-                                                   #   hot-key winners too
+                                                   #   hot-key winners too,
+                                                   #   one commit a task
       -> [driver] fold_hot_runs                    # hot runs -> one file,
-                                                   #   dims from the partials
+                                                   #   dims from the records' partials
 
 The execution grain is B merge tasks (``merge_tasks``): one per cluster
 CPU, more when the delivery's Parquet footers count over
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import glob
 import os
+import shutil
 import sys
 import uuid
 
@@ -223,20 +225,19 @@ def replay(
             if os.path.isdir(p):
                 for f in glob.glob(os.path.join(p, "*")):
                     os.remove(f)
+        shutil.rmtree(mf.legacy_partials_dir(spec.out_dir), ignore_errors=True)
     for p in paths.values():
         os.makedirs(p, exist_ok=True)
-        # reap orphan tmp files from a SIGKILLed prior run: every writer is
-        # atomic (tmp + os.replace), so a kill between open and rename can
-        # leave a partially-written `*.tmp-*` file that directory-scan
-        # readers (ray.data.read_parquet(dir)) would otherwise pick up.  A
-        # tmp file is only meaningful inside the process that created it
-        # (uuid-suffixed, renamed in the same call), so at replay start any
-        # survivor is garbage by construction.
+    # finish the merge tasks a crash left committed (task record written)
+    # but unfinished, then reap orphan tmp files from a SIGKILLed prior
+    # run: every writer is atomic (tmp + os.replace, or a task's tmp names
+    # + its task record), so after the roll-forward a `*.tmp-*` file
+    # belongs to no commit, and directory-scan readers
+    # (ray.data.read_parquet(dir)) would otherwise pick it up.
+    mf.roll_forward(spec.out_dir)
+    for p in [*paths.values(), spec.out_dir]:  # the job-manifest tmp at the root too
         for f in glob.glob(os.path.join(p, "*.tmp-*")):
             os.remove(f)
-    # same reap for the job-manifest tmp at the out_dir root
-    for f in glob.glob(os.path.join(spec.out_dir, "*.tmp-*")):
-        os.remove(f)
 
     changes, rows = input_path, 0
     if isinstance(input_path, str):
@@ -368,8 +369,9 @@ def replay(
         modifier_names=tuple(s.name for s in modifier_specs),
         state_cap_rows=spec.state_cap_rows,
     )
-    # materialize() executes the merge exactly once; every partition writes
-    # its outputs (hot-key winners included) before its manifest commits it
+    # materialize() executes the merge exactly once; every merge task writes
+    # its outputs (hot-key winners included) and commits them in one task
+    # record, with its partitions' records
     merged = merged_groups(norm, merger_kwargs, spec.num_partitions, rows).materialize()
     if os.environ.get("GRAFT_REPLAY_STATS"):  # per-stage wall-time breakdown
         print(merged.stats(), file=sys.stderr)

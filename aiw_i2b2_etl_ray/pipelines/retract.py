@@ -6,10 +6,10 @@ tag) contributed, across all partitions of the star schema.
 
 Physical plan: one Ray task per output partition file (partition-parallel,
 no shuffle — the delete predicate is a per-row filter), rewriting fact /
-path_dim / hot files in place (atomic tmp+rename) and refreshing each
-touched partition's dimension partial; then the replay's hot-run fold
-(``stages.merge.fold_hot_runs``) re-folds the dims.  Retracted fact rows
-are archived rather than destroyed (the
+path_dim / hot files in place (atomic tmp+rename) and refreshing the
+dimension partials in each touched partition's record; then the replay's
+hot-run fold (``stages.merge.fold_hot_runs``) re-folds the dims.
+Retracted fact rows are archived rather than destroyed (the
 reference's archive-keeps-history rule): each retraction run writes its
 own ``archive/retractions/<run_id>/`` directory, so successive
 retractions never overwrite each other's history and the merge-written
@@ -27,6 +27,7 @@ import ray
 
 from ..schemas import PATH_DIM, ensure_columns
 from ..stages.merge import _atomic_write, _repo_live, fold_hot_runs
+from ..state import manifest as mf
 
 
 @ray.remote
@@ -48,7 +49,7 @@ def _retract_fact_file(path: str, langs: tuple, archive_dir: str | None) -> int:
 
 
 @ray.remote
-def _retract_path_file(path: str, langs: tuple, dimpart_dir: str | None) -> int:
+def _retract_path_file(path: str, langs: tuple, out_dir: str) -> int:
     t = ensure_columns(pq.read_table(path), PATH_DIM)
     df = pl.from_arrow(t)
     hit = df.filter(pl.col("lang").is_in(list(langs)))
@@ -58,15 +59,10 @@ def _retract_path_file(path: str, langs: tuple, dimpart_dir: str | None) -> int:
     _atomic_write(ensure_columns(keep.to_arrow(), PATH_DIM), path)
     # refresh this partition's repo_live snapshot (canonical part files only)
     base = os.path.basename(path)
-    if dimpart_dir is not None and base.startswith("part-"):
-        dp_path = os.path.join(dimpart_dir, base)
-        fresh_live = _repo_live(keep)
-        if os.path.exists(dp_path):
-            prior = pl.from_arrow(pq.read_table(dp_path)).filter(
-                pl.col("kind") != "repo_live"
-            )
-            fresh_live = pl.concat([prior, fresh_live])
-        _atomic_write(fresh_live.to_arrow(), dp_path)
+    if base.startswith("part-"):
+        pid = int(base[len("part-"):-len(".parquet")])
+        rows = [r for r in mf.read_partials(out_dir, pid) if r[0] != "repo_live"]
+        mf.write_partition(out_dir, pid, -1, partials=rows + _repo_live(keep).rows())
     return len(hit)
 
 
@@ -84,6 +80,9 @@ def retract_source(
     tables' audit columns untouched).  ``run_id`` names this retraction's
     archive directory (auto-numbered when omitted) so repeated retractions
     keep independent history."""
+    # a task a crash left committed but unfinished lands first: its renames
+    # would otherwise put back rows this retraction removes
+    mf.roll_forward(out_dir)
     langs_t = tuple(sorted(langs))
     fact_files = sorted(glob.glob(os.path.join(out_dir, "change_fact", "*.parquet")))
     path_files = sorted(glob.glob(os.path.join(out_dir, "path_dim", "*.parquet")))
@@ -107,24 +106,22 @@ def retract_source(
             "that run's retracted-fact history)"
         )
     os.makedirs(archive_dir, exist_ok=True)
-    dimpart = os.path.join(out_dir, "_dimpart")
 
     fact_counts = ray.get(
         [_retract_fact_file.remote(f, langs_t, archive_dir) for f in fact_files]
     )
     path_counts = ray.get(
-        [_retract_path_file.remote(f, langs_t, dimpart) for f in path_files]
+        [_retract_path_file.remote(f, langs_t, out_dir) for f in path_files]
     )
 
     # drop the retracted langs from every partition's fact partials so the
     # re-folded lang_dim no longer lists them
-    for dp in sorted(glob.glob(os.path.join(dimpart, "*.parquet"))):
-        df = pl.from_arrow(pq.read_table(dp))
-        kept = df.filter(
-            ~((pl.col("kind") == "lang") & pl.col("key").is_in(list(langs_t)))
-        )
-        if len(kept) != len(df):
-            _atomic_write(kept.to_arrow(), dp)
+    for rec in mf.read_manifest(out_dir):
+        pid = rec["partition_id"]
+        rows = mf.read_partials(out_dir, pid, rec)
+        kept = [r for r in rows if not (r[0] == "lang" and r[1] in langs_t)]
+        if len(kept) != len(rows):
+            mf.write_partition(out_dir, pid, -1, partials=kept)
 
     summary = {
         "facts_retracted": int(sum(fact_counts)),

@@ -90,26 +90,34 @@ def both_dims(fact_ds: rd.Dataset, path_dim: pa.Table) -> tuple[pa.Table, pa.Tab
 
 
 def fold_dim_partials(dimpart_dir: str, hot_path_dim: pa.Table | None = None):
-    """(repo_dim, lang_dim, modifier_dim) from the per-partition partial
-    files the merge stage wrote — a driver-side fold over ~num_partitions
-    tiny tables; the fact table is never re-read.  ``hot_path_dim`` (the
-    folded hot-key winners, which partition partials exclude) contributes
-    extra live counts."""
-    import glob
+    """(repo_dim, lang_dim, modifier_dim) from the dimension partials the
+    merge tasks put into the partition records — a driver-side fold over
+    ~num_partitions tiny row lists; the fact table is never re-read.
+    ``dimpart_dir`` is the out_dir's legacy partials directory
+    (``manifest.legacy_partials_dir``): the records are read from its
+    sibling ``_manifest``, and a record written before the partials moved
+    into it falls back to its file there.  ``hot_path_dim`` (the folded
+    hot-key winners, which partition partials exclude) contributes extra
+    live counts."""
     import os
 
-    import pyarrow.parquet as pq
-
     from ..schemas import MODIFIER_DIM
+    from ..state import manifest as mf
 
-    files = sorted(glob.glob(os.path.join(dimpart_dir, "*.parquet")))
-    if not files:
+    out_dir = os.path.dirname(dimpart_dir)
+    rows = [
+        r
+        for rec in mf.read_manifest(out_dir)
+        for r in mf.read_partials(out_dir, rec["partition_id"], rec)
+    ]
+    if not rows:
         return (
             REPO_DIM.empty_table(),
             LANG_DIM.empty_table(),
             MODIFIER_DIM.empty_table(),
         )
-    parts = [pl.from_arrow(pq.read_table(f)) for f in files]
+    schema = {"kind": pl.String, "key": pl.String, "mn": pl.Int64, "mx": pl.Int64, "live": pl.Int64}
+    parts = [pl.DataFrame(rows, schema=schema, orient="row")]
     if hot_path_dim is not None and len(hot_path_dim):
         from .merge import _repo_live
 
@@ -144,8 +152,6 @@ def fold_dim_partials(dimpart_dir: str, hot_path_dim: pa.Table | None = None):
         .select(pl.col("key").alias("lang"), pl.col("mn").alias("first_seen_seq"))
         .sort("lang")
     )
-    from ..schemas import MODIFIER_DIM
-
     mod_out = (
         agg.filter(pl.col("kind") == "mod")
         .select(

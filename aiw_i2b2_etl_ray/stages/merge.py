@@ -31,15 +31,20 @@ loops):
    delete);
 5. in ``update`` mode, prior partition state (the existing part file) joins
    the reduction as synthetic events so re-runs converge identically;
-6. outputs are written atomically (tmp file + rename) one file per
-   partition, and a per-partition manifest JSON (watermark + lineage
-   counters + schema version) commits the partition after its files — the
-   checkpoint the resume path reads.
+6. the task, not the partition, writes and commits.  Each output table is
+   converted from polars to Arrow once per merge call.  ``path_dim`` stays
+   one part file per partition (the state an UPDATE reads back), sliced
+   from that one table; ``change_fact``, ``rejected``, ``archive`` and the
+   hot-key winners are one file per task, named by run id and pkey range;
+   each partition's dimension partials go into its manifest record.
+   Every file is written under a ``*.tmp-*`` name, and one task record
+   (``state.manifest.commit_task``) commits them all together with the
+   partitions' records — the checkpoint the resume path reads.
 
 Hot-key handling (LSM-style): salted sub-partitions each produce their own
-winner for a hot key.  Those rows are one more partition output: each
-partition writes them to its own hot run (``path_dim/hot-<run>-<pid>.parquet``)
-before its manifest commits it, so a committed partition's winners are
+winner for a hot key.  Those rows are one more task output: each task
+writes them to its own hot run (``path_dim/hot-<run>-<lo>-<hi>.parquet``)
+and commits it with its partitions, so a committed partition's winners are
 durable.  At the end of a run :func:`fold_hot_runs` reduces every hot run
 per key into one file and deletes the runs it folded — exactly an LSM
 merge.  Until then ``load_path_dim``'s last-writer-wins merge-on-read sees
@@ -50,6 +55,7 @@ from __future__ import annotations
 
 import glob
 import os
+import re
 import uuid
 
 import polars as pl
@@ -71,8 +77,8 @@ _MERGED_COLS = [
     "content_len",
     "size",
 ]
-#: the merge's per-partition outputs and their schemas, in write order
-#: (``hot``: the partition's hot-key winners, a run of ``path_dim``)
+#: the merge's outputs and their schemas (``hot``: the hot-key winners, a
+#: run of ``path_dim``); all but ``path_dim`` are one file per task
 _SCHEMAS = {
     "path_dim": PATH_DIM,
     "hot": PATH_DIM,
@@ -82,6 +88,9 @@ _SCHEMAS = {
 }
 #: the chain's key: a salted hot key has one winner per partition it lands in
 _KEY = ["pkey", "repo", "path"]
+#: a per-run file of an append-only table: a task's pkey range, or (written
+#: before the task became the unit) one partition's
+_RUN_FILE = re.compile(r"(?:range-(\d{5})-|part-)(\d{5})-(.+)\.parquet")
 
 
 def _atomic_write(table: pa.Table, path: str) -> None:
@@ -90,21 +99,37 @@ def _atomic_write(table: pa.Table, path: str) -> None:
     os.replace(tmp, path)
 
 
-class _StreamingWriter:
-    """Atomic multi-row-group Parquet writer: row groups stream to a tmp
-    file; close() renames it into place."""
+class _TaskFiles:
+    """A merge task's output files, each written under a ``*.tmp-*`` name
+    until the task commits.  ``renames`` maps every final name to its tmp
+    name, both relative to the out_dir.  ``write`` writes a whole file, or
+    with ``stream`` appends a row group to a file kept open until
+    :meth:`close`."""
 
-    def __init__(self, path: str, schema: pa.Schema):
-        self.path = path
-        self.tmp = f"{path}.tmp-{uuid.uuid4().hex[:8]}"
-        self._w = pq.ParquetWriter(self.tmp, schema)
+    def __init__(self, out_dir: str):
+        self.out_dir, self.renames, self._writers = out_dir, {}, {}
 
-    def write(self, t: pa.Table):
-        self._w.write_table(t)
+    def has(self, path: str) -> bool:
+        return os.path.relpath(path, self.out_dir) in self.renames
 
-    def close(self):
-        self._w.close()
-        os.replace(self.tmp, self.path)
+    def write(self, path: str, table: pa.Table, stream: bool = False) -> None:
+        if not stream:
+            pq.write_table(table, self._tmp(path))
+            return
+        if path not in self._writers:
+            self._writers[path] = pq.ParquetWriter(self._tmp(path), table.schema)
+        self._writers[path].write_table(table)
+
+    def close(self, paths=None) -> None:
+        for p in list(self._writers if paths is None else paths):
+            if p in self._writers:
+                self._writers.pop(p).close()
+
+    def _tmp(self, path: str) -> str:
+        final = os.path.relpath(path, self.out_dir)
+        if final not in self.renames:
+            self.renames[final] = f"{final}.tmp-{uuid.uuid4().hex[:8]}"
+        return os.path.join(self.out_dir, self.renames[final])
 
 
 def hot_file(path_dim_dir: str, name: str) -> str:
@@ -206,8 +231,9 @@ class PartitionMerger:
     A block may hold any number of partitions (``pkey`` values).
 
     emit:
-        "checkpoint" — write partition outputs (hot-key winners included)
-                       + manifests; return an empty PATH_DIM table.
+        "checkpoint" — write the block's outputs (hot-key winners included)
+                       and commit them with the partitions' records, all
+                       inside the call; return an empty PATH_DIM table.
         "path_dim"   — pure: return every converged path_dim row.
         "fact"       — pure: return applied change_fact rows.
     """
@@ -277,7 +303,7 @@ class PartitionMerger:
 
         prior = None
         if self.mode == "update" and self.emit == "checkpoint":
-            prior = self._read_parts("path_dim", pids)
+            prior = self._read_prior(pids)
             if prior is not None and slice_spec is not None:
                 # bounded-state mode: keep only this key-hash slice of the
                 # prior (re-read per slice trades IO for O(cap) memory; keys
@@ -342,58 +368,54 @@ class PartitionMerger:
         # --- checkpoint mode -------------------------------------------------
         # Bounded state (SURVEY §7.5 item 1): with state_cap_rows the block's
         # partitions merge in runs of at most cap rows, and a partition over
-        # the cap merges alone in key-hash slices streamed to its part files
-        # as row groups — so the merge working set is O(cap) and at most one
-        # partition's files are open at a time.
+        # the cap merges alone in key-hash slices streamed to its part file
+        # as row groups — so the merge working set is O(cap); the task's
+        # per-task files then stream a row group per merge call too.
+        out_dir = os.path.dirname(self.out_dirs["_manifest"])
         prior_rej = self._prior_rejected(g) if self.mode == "update" else None
-        partials, counts, written = [], [], set()
+        files, lo, hi = _TaskFiles(out_dir), pids[0], pids[-1]
+        cap = self.state_cap_rows
+        streamed = bool(cap) and len(g) > cap  # more than one merge call
+        partials, counts = [], []
         for run in self._runs(g, pids):
             sub = g if len(run) == len(pids) else g.filter(pl.col("pkey").is_in(run))
-            cap = self.state_cap_rows
             n_slices = -(-len(sub) // cap) if cap and len(sub) > cap else 1
             slice_ids = routing.slice_ids(routing.key_hash(sub), n_slices) if n_slices > 1 else None
-            writers = {}
             for s_i in range(n_slices):
                 part, spec = sub, None
                 if slice_ids is not None:
                     part, spec = sub.filter(pl.Series(slice_ids == s_i)), (s_i, n_slices)
                 out = self._merge(part, run, prior_rej, spec)
-                for table, schema in _SCHEMAS.items():
-                    if out[table] is None:
-                        continue
-                    for (pid,), rows in out[table].partition_by("pkey", as_dict=True).items():
-                        t, path = _arrow(rows, schema), self._path(table, pid)
-                        if slice_ids is None:
-                            _atomic_write(t, path)
-                        else:
-                            if path not in writers:
-                                writers[path] = _StreamingWriter(path, schema)
-                            writers[path].write(t)
-                        written.add((table, pid))
+                self._write_parts(files, out["path_dim"], stream=slice_ids is not None)
+                for table in ("hot", "change_fact", "rejected", "archive"):
+                    if out[table] is not None and len(out[table]):
+                        t = _arrow(out[table], _SCHEMAS[table])
+                        files.write(self._task_path(table, lo, hi), t, streamed)
                 partials.append(out["partials"])
                 counts.append(out["counts"])
-            for w in writers.values():
-                w.close()
+            files.close([self._part(pid) for pid in run])
 
-        dim_parts = self._fold_dim_partials(pl.concat(partials), pids)
-        totals = self._totals(pl.concat(counts))
+        # every partition's part file is (re)written, even empty (the prior
+        # one was consumed above), and so is the task's change_fact file;
+        # rejected / archive / hot only when rows exist
         for pid in pids:
-            # path_dim / change_fact part files are always (re)written, even
-            # empty (the prior part file was consumed above); rejected /
-            # archive only when rows exist
-            for table in ("path_dim", "change_fact"):
-                if (table, pid) not in written:
-                    _atomic_write(_SCHEMAS[table].empty_table(), self._path(table, pid))
-            if pid in dim_parts:
-                _atomic_write(dim_parts[pid], self._path("_dimpart", pid))
-            # the manifest commits the partition, so it is written last
-            c = totals.get(pid, {})
-            mf.write_partition(
-                os.path.dirname(self.out_dirs["_manifest"]), pid,
-                max(self.watermarks.get(pid, -1), c.get("wm", -1)), run_id=self.run_id,
-                schema_version=self.schema_version, counts=c,
-            )
+            if not files.has(self._part(pid)):
+                files.write(self._part(pid), PATH_DIM.empty_table())
+        if not files.has(cf := self._task_path("change_fact", lo, hi)):
+            files.write(cf, CHANGE_FACT.empty_table())
+        files.close()
+        records = self._records(out_dir, pl.concat(partials), pl.concat(counts), pids)
+        mf.commit_task(out_dir, f"{self.run_id}-{lo:05d}", records, files.renames)
         return PATH_DIM.empty_table()
+
+    def _write_parts(self, files: _TaskFiles, path_dim: pl.DataFrame, stream: bool) -> None:
+        """One part file per partition of ``path_dim``, each a slice of one
+        Arrow table."""
+        path_dim = path_dim.sort("pkey", maintain_order=True)
+        t, off = _arrow(path_dim, PATH_DIM), 0
+        for pid, n in path_dim.group_by("pkey", maintain_order=True).len().iter_rows():
+            files.write(self._part(pid), t.slice(off, n), stream)
+            off += n
 
     def _runs(self, g: pl.DataFrame, pids: list) -> list:
         """The block's partitions grouped into merge runs: one run of all of
@@ -411,44 +433,50 @@ class PartitionMerger:
             n += k
         return runs
 
-    def _path(self, table: str, pid: int) -> str:
-        """A partition's file of ``table``; per-run tables carry the run id."""
-        if table == "hot":
-            return hot_file(self.out_dirs["path_dim"], f"{self.run_id}-{pid:05d}")
-        per_run = table in ("rejected", "archive") or (
-            table == "change_fact" and self.mode != "replace"
-        )
-        run = f"-{self.run_id}" if per_run else ""
-        return os.path.join(self.out_dirs[table], f"part-{pid:05d}{run}.parquet")
+    def _part(self, pid: int) -> str:
+        """A partition's ``path_dim`` part file."""
+        return os.path.join(self.out_dirs["path_dim"], f"part-{pid:05d}.parquet")
 
-    def _read_parts(self, table: str, pids: list) -> pl.DataFrame | None:
-        """The existing ``table`` part files of ``pids``, tagged with ``pkey``."""
+    def _task_path(self, table: str, lo: int, hi: int) -> str:
+        """The task's file of an append-only table, or of its hot-key
+        winners: one per run id and pkey range ``[lo, hi]``."""
+        span = f"{lo:05d}-{hi:05d}"
+        if table == "hot":
+            return hot_file(self.out_dirs["path_dim"], f"{self.run_id}-{span}")
+        return os.path.join(self.out_dirs[table], f"range-{span}-{self.run_id}.parquet")
+
+    def _read_prior(self, pids: list) -> pl.DataFrame | None:
+        """The existing part files of ``pids``, tagged with ``pkey``."""
         frames = [
             pl.from_arrow(pq.read_table(p)).with_columns(pl.lit(pid, pl.Int32).alias("pkey"))
             for pid in pids
-            if os.path.exists(p := self._path(table, pid))
+            if os.path.exists(p := self._part(pid))
         ]
         return pl.concat(frames) if frames else None
 
     def _prior_rejected(self, g: pl.DataFrame) -> pl.DataFrame | None:
-        """Content keys ``(pkey, repo, path, commit, reason)`` of the
-        rejected rows PRIOR runs persisted, for the partitions where ``g``
-        has a null ``commit_seq``.  Null-seq rejects bypass the watermark by
-        design (no change-id ordering), so under steady redelivery they
-        would otherwise re-append every run; this content-key dedup bounds
-        the rejected table.  A partition with no null-seq row reads no
-        rejected file.  The current run's own file is excluded — a
-        crash-resume rewrites it, so deduping against it would drop rows
-        from the rewrite."""
+        """Content keys ``(repo, path, commit, reason)`` of the rejected
+        rows PRIOR runs persisted, read from the files that cover the
+        partitions where ``g`` has a null ``commit_seq``: the task files
+        whose pkey range holds one of them, and the per-partition files of
+        an out_dir written before the task became the unit.  Null-seq
+        rejects bypass the watermark by design (no change-id ordering), so
+        under steady redelivery they would otherwise re-append every run;
+        this content-key dedup bounds the rejected table.  A block with no
+        null-seq row reads no rejected file.  The current run's own files
+        are excluded — a crash-resume rewrites them, so deduping against
+        them would drop rows from the rewrite."""
+        pids = g.filter(pl.col("commit_seq").is_null())["pkey"].unique().to_list()
+        if not pids:
+            return None
         frames = []
-        for pid in g.filter(pl.col("commit_seq").is_null())["pkey"].unique().to_list():
-            pat = os.path.join(self.out_dirs["rejected"], f"part-{pid:05d}-*.parquet")
-            frames += [
-                pl.from_arrow(pq.read_table(f, columns=["repo", "path", "commit", "reason"]))
-                .select(pl.lit(pid, pl.Int32).alias("pkey"), pl.all())
-                for f in glob.glob(pat)
-                if not f.endswith(f"-{self.run_id}.parquet")
-            ]
+        for f in sorted(glob.glob(os.path.join(self.out_dirs["rejected"], "*.parquet"))):
+            m = _RUN_FILE.fullmatch(os.path.basename(f))
+            if m is None or m[3] == self.run_id:
+                continue
+            lo, hi = int(m[1] or m[2]), int(m[2])
+            if any(lo <= p <= hi for p in pids):
+                frames.append(pl.from_arrow(pq.read_table(f, columns=["repo", "path", "commit", "reason"])))
         return pl.concat(frames).unique() if frames else None
 
     def _dim_partials(self, f: pl.DataFrame, path_dim: pl.DataFrame) -> pl.DataFrame:
@@ -479,23 +507,37 @@ class PartitionMerger:
             )
         return pl.concat([*parts, _repo_live(path_dim, "pkey")])
 
-    def _fold_dim_partials(self, parts: pl.DataFrame, pids: list) -> dict:
-        """Each partition's folded ``_dimpart`` table."""
-        prior = self._read_parts("_dimpart", pids) if self.mode == "update" else None
-        if prior is not None:
-            # fold the prior partial: min/max fold for seq bounds; live is a
-            # fresh snapshot (prior live rows dropped, since path_dim state
-            # was re-merged above)
-            parts = pl.concat(
-                [parts, prior.filter(pl.col("kind") != "repo_live").select(parts.columns)]
-            )
-        folded = parts.group_by(["pkey", "kind", "key"]).agg(
+    def _records(self, out_dir: str, partials: pl.DataFrame, counts: pl.DataFrame, pids: list) -> list:
+        """The partitions' next manifest records: watermark, lineage
+        counters over every merge call's counter parts, and the folded
+        dimension partials.  An UPDATE folds each prior record's partials
+        (min/max fold for seq bounds); ``repo_live`` is a fresh snapshot,
+        since the path_dim state was re-merged above."""
+        prev = {pid: mf.read_partition(out_dir, pid) for pid in pids}
+        if self.mode == "update":
+            prior = [
+                (pid, *r)
+                for pid in pids
+                for r in mf.read_partials(out_dir, pid, prev[pid])
+                if r[0] != "repo_live"
+            ]
+            partials = pl.concat([partials, pl.DataFrame(prior, schema=partials.schema, orient="row")])
+        folded = partials.group_by(["pkey", "kind", "key"]).agg(
             pl.col("mn").min(), pl.col("mx").max(), pl.col("live").sum()
         )
-        return {
-            pid: t.to_arrow()
+        rows = {
+            pid: t.rows()
             for (pid,), t in folded.partition_by("pkey", as_dict=True, include_key=False).items()
         }
+        totals = self._totals(counts)
+        return [
+            mf.partition_record(
+                prev[pid], pid, max(self.watermarks.get(pid, -1), totals.get(pid, {}).get("wm", -1)),
+                run_id=self.run_id, schema_version=self.schema_version,
+                counts=totals.get(pid, {}), partials=rows.get(pid, []),
+            )
+            for pid in pids
+        ]
 
     @staticmethod
     def _totals(counts: pl.DataFrame) -> dict:
@@ -538,10 +580,10 @@ def fold_hot_runs(out_dir: str, reduce=reduce_hot_rows) -> pa.Table:
     """The hot-key fold, run at the end of every replay, compaction and
     retraction: reduce every ``hot-*.parquet`` run per key with ``reduce``,
     write the result as one file, only then delete the runs it folded, and
-    refold repo/lang/modifier dims from ``_dimpart`` plus the folded winners
-    (which partition partials exclude).  A crash between the write and the
-    deletes leaves duplicate rows, which the next fold and merge-on-read
-    absorb.  Returns the folded winners.  The replay passes the
+    refold repo/lang/modifier dims from the records' partials plus the
+    folded winners (which partition partials exclude).  A crash between
+    the write and the deletes leaves duplicate rows, which the next fold
+    and merge-on-read absorb.  Returns the folded winners.  The replay passes the
     ``reduce_hot_rows`` it imports as ``reduce``, so a wrapper installed on
     ``cdc_replay`` sees the replay's fold.
 
@@ -560,7 +602,7 @@ def fold_hot_runs(out_dir: str, reduce=reduce_hot_rows) -> pa.Table:
             for f in runs:
                 if f != folded:
                     os.remove(f)
-    repo_t, lang_t, mod_t = dims.fold_dim_partials(os.path.join(out_dir, "_dimpart"), hot)
+    repo_t, lang_t, mod_t = dims.fold_dim_partials(mf.legacy_partials_dir(out_dir), hot)
     if len(repo_t):
         _atomic_write(repo_t, os.path.join(out_dir, "repo_dim", "repo_dim.parquet"))
         _atomic_write(lang_t, os.path.join(out_dir, "lang_dim", "lang_dim.parquet"))
@@ -570,9 +612,11 @@ def fold_hot_runs(out_dir: str, reduce=reduce_hot_rows) -> pa.Table:
 
 
 def compact_path_dim(out_dir: str) -> int:
-    """LSM compaction: :func:`fold_hot_runs` on its own.  A finished replay
-    has already folded its runs, so this repairs what a crashed one left.
-    Returns the number of hot keys."""
+    """LSM compaction: :func:`fold_hot_runs` on its own, after finishing
+    any merge task a crash left committed.  A finished replay has already
+    folded its runs, so this repairs what a crashed one left.  Returns the
+    number of hot keys."""
+    mf.roll_forward(out_dir)
     return len(fold_hot_runs(out_dir))
 
 
@@ -627,23 +671,17 @@ def extract_keys_from_parts(out_dir: str, keys: set[str], num_partitions: int) -
 
 def remove_keys_from_parts(out_dir: str, keys: set[str], num_partitions: int) -> None:
     """Phase 2 of the newly-hot-key transition: destructively rewrite the
-    canonical partition files (and their repo_live dimension partials)
-    WITHOUT the listed keys.  Only safe after the extracted state is on
-    disk (hot-transition file): a crash mid-rewrite then leaves some keys
-    in both places, which the LWW merge-on-read folds and a resumed run's
-    re-extract + re-remove repairs."""
+    canonical partition files WITHOUT the listed keys, and refresh the
+    repo_live partials in their records.  Only safe after the extracted
+    state is on disk (hot-transition file): a crash mid-rewrite then
+    leaves some keys in both places, which the LWW merge-on-read folds and
+    a resumed run's re-extract + re-remove repairs."""
     for pid, part, t, hit in _home_parts(out_dir, keys, num_partitions):
         keep = t.filter(pa.array(~hit))
         _atomic_write(keep, part)
         # refresh this partition's repo_live snapshot (now excluding the keys)
-        dp_path = os.path.join(out_dir, "_dimpart", f"part-{pid:05d}.parquet")
-        fresh_live = _repo_live(pl.from_arrow(keep))
-        if os.path.exists(dp_path):
-            prior = pl.from_arrow(pq.read_table(dp_path)).filter(
-                pl.col("kind") != "repo_live"
-            )
-            fresh_live = pl.concat([prior, fresh_live])
-        _atomic_write(fresh_live.to_arrow(), dp_path)
+        rows = [r for r in mf.read_partials(out_dir, pid) if r[0] != "repo_live"]
+        mf.write_partition(out_dir, pid, -1, partials=rows + _repo_live(pl.from_arrow(keep)).rows())
 
 
 def load_path_dim(out_dir: str) -> pa.Table:

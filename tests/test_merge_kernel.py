@@ -1,8 +1,11 @@
 """The merge kernel takes a block of many partitions.
 
 One ``PartitionMerger`` call over a block holding several ``pkey`` values
-must write exactly what one call per ``pkey`` writes: every part, fact,
-rejected, archive and ``_dimpart`` table and every manifest.  The
+must write exactly what one call per ``pkey`` writes: the same path_dim
+part files, the same rows of the fact, rejected, archive and hot-key
+tables, and the same manifest records (dimension partials included).
+The fact, rejected, archive and hot-key tables are one file per call, so
+their file names differ by design and only their contents compare.  The
 scenarios run a REPLACE base and then an UPDATE apply over its state,
 with hot rows, ``null_key`` and ``null_seq`` rejects, duplicate
 change-ids, a redelivered slice and modifiers.
@@ -84,25 +87,32 @@ def _apply(out_dir: str, block: pa.Table, per_pkey: bool, **kw) -> None:
         merger(block.filter(pc.equal(block["pkey"], k)))
 
 
+def _rows(d: str, pattern: str) -> pa.Table | None:
+    files = sorted(glob.glob(os.path.join(d, pattern)))
+    return pa.concat_tables([pq.read_table(f) for f in files]) if files else None
+
+
 def _assert_same_outputs(a: str, b: str) -> None:
-    for table in ("path_dim", "change_fact", "rejected", "archive", "_dimpart"):
-        fa = sorted(os.path.basename(f) for f in glob.glob(os.path.join(a, table, "*")))
-        fb = sorted(os.path.basename(f) for f in glob.glob(os.path.join(b, table, "*")))
-        assert fa == fb, table
-        sides = {a: [], b: []}
-        for name in fa:
-            for d, tables in sides.items():
-                t = pq.read_table(os.path.join(d, table, name))
-                tables.append(t.append_column("_file", pa.array([name] * len(t))))
-            assert sides[a][-1].schema == sides[b][-1].schema, (table, name)
-        if fa:
-            ta, tb = (pa.concat_tables(t, promote_options="default") for t in sides.values())
-            assert_table_eq(ta, tb, ["_file", *ta.column_names])
+    parts = [sorted(os.path.basename(f) for f in glob.glob(os.path.join(d, "path_dim", "part-*"))) for d in (a, b)]
+    assert parts[0] == parts[1]
+    for name in parts[0]:
+        ta, tb = (pq.read_table(os.path.join(d, "path_dim", name)) for d in (a, b))
+        assert ta.equals(tb), name
+    for pattern in ("path_dim/hot-*", "change_fact/*", "rejected/*", "archive/*"):
+        ta, tb = _rows(a, pattern), _rows(b, pattern)
+        assert (ta is None) == (tb is None), pattern
+        if ta is not None:
+            assert ta.schema == tb.schema, pattern
+            assert_table_eq(ta, tb, ta.column_names)
     ma = sorted(glob.glob(os.path.join(a, "_manifest", "part-*.json")))
     assert ma, "no manifest written"
+    assert len(ma) == len(glob.glob(os.path.join(b, "_manifest", "part-*.json")))
     for f in ma:
         with open(f) as fa, open(os.path.join(b, "_manifest", os.path.basename(f))) as fb:
             assert json.load(fa) == json.load(fb), f
+    for d in (a, b):
+        assert not glob.glob(os.path.join(d, "*", "*.tmp-*")), "a call left its commit unfinished"
+        assert not glob.glob(os.path.join(d, "_manifest", "task-*")), "a call left its task record"
 
 
 @pytest.mark.parametrize(
