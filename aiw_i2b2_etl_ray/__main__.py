@@ -133,6 +133,12 @@ def main(argv: list[str] | None = None) -> int:
 
     import ray
 
+    from .util import cap_kernel_threads
+
+    # before ray.init: workers inherit the caps, so stages need no
+    # runtime_env of their own (util.worker_runtime_env) and run in Ray's
+    # default worker pool
+    cap_kernel_threads()
     if not ray.is_initialized():  # a ray job submit driver may pre-init
         ray.init(address="local", include_dashboard=False, ignore_reinit_error=True)
 

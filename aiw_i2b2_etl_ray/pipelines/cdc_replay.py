@@ -1,6 +1,8 @@
 """The flagship pipeline: full CDC replay to a converged Parquet star schema.
 
-Logical plan (one wide shuffle total):
+Two plans, chosen by the delivery's Parquet footer row count.  A Dataset
+input, or a path whose footers count over ``SMALL_DELIVERY_ROWS`` rows,
+runs Ray Data's plan (one wide shuffle total):
 
     read_parquet (pruned, <= CPUs blocks)          # sources.read_changes
       -> map_batches(Normalizer, pyarrow, tasks)   # digest + validate + pkey
@@ -14,7 +16,22 @@ Logical plan (one wide shuffle total):
       -> [driver] fold_hot_runs                    # hot runs -> one file,
                                                    #   dims from the records' partials
 
-The execution grain is B merge tasks (``merge_tasks``): one per cluster
+A path of at most ``SMALL_DELIVERY_ROWS`` rows skips Ray Data and its
+exchange (``merge_small``):
+
+    B plain Ray tasks, one per contiguous pkey range  # the ranges keyed_fold
+      each: read the whole delivery                   #   cuts (fold_bounds)
+        -> [seq bound] -> Normalizer -> [resume skip]
+        -> keep its own range -> PartitionMerger      # writes + commits, as above
+      -> [driver] fold_hot_runs
+
+Each task reads and normalizes the whole delivery, which costs far less
+at this size than the exchange's fixed cost: its executor start, and
+read, sort map, sort reduce and merge each waiting for the one before
+(BASELINE.md session 16).  Both plans give a merge task the same rows,
+in the same order, so they write the same files.
+
+The execution grain is B merge tasks (``merge_tasks``) in both plans: one per cluster
 CPU, more when the delivery's Parquet footers count over
 ``MERGE_ROWS_PER_TASK`` rows a task, never more than ``num_partitions``.
 It is set by the cluster and the delivery, not by Ray's read split nor by
@@ -47,9 +64,9 @@ import ray
 import ray.data as rd
 
 from ..config import ReplaySpec, out_paths
-from ..sources.changes import read_changes
+from ..sources.changes import Footers, read_changes, read_footers
 from ..stages import routing
-from ..stages.exchange import keyed_fold
+from ..stages.exchange import fold_bounds, keyed_fold
 from ..stages.merge import PartitionMerger, fold_hot_runs, reduce_hot_rows
 from ..stages.normalize import Normalizer
 from ..state import manifest as mf
@@ -102,12 +119,9 @@ def find_hot_keys_local(files: list[str], threshold: int) -> set[str]:
     its thread pool is independent of the POLARS_MAX_THREADS=1 cap the
     harness sets for Ray workers — the driver-side scan should use every
     core."""
-    import duckdb
-
-    con = duckdb.connect()
     # file list + threshold go through parameter binding, never string
     # interpolation — a quote in a file name must not break the query
-    keys = con.execute(
+    keys = _duckdb().execute(
         """
         SELECT repo, path FROM read_parquet($files, union_by_name=true)
         WHERE repo <> '' AND path <> ''  -- also false for NULL: rejected rows
@@ -116,8 +130,67 @@ def find_hot_keys_local(files: list[str], threshold: int) -> set[str]:
         """,
         {"files": list(files), "thr": max(1, threshold // 2)},
     ).arrow()
-    con.close()
     return set(routing.encode_keys(keys))
+
+
+_DUCKDB = None
+
+
+def _duckdb():
+    """A cursor on the process's one DuckDB database.  Opening a fresh
+    database took 20 ms a call, four times the scan of a 5k-row sample; a
+    cursor shares the database and is a connection of its own, so callers
+    on different threads do not share one."""
+    global _DUCKDB
+    if _DUCKDB is None:
+        import duckdb
+
+        _DUCKDB = duckdb.connect()
+    return _DUCKDB.cursor()
+
+
+def sampled_hot_keys(footers: Footers, threshold: int) -> set[str] | None:
+    """The pre-pass of a path delivery, sampled: every 4th log segment
+    (~25% of files, spread across commit time) when there are 8 or more,
+    with the threshold scaled by the sampled fraction.  Hot-key detection
+    is a performance heuristic — a missed borderline key costs salting,
+    never correctness.  A sample whose footers count fewer rows than the
+    bar ``thr // 2`` is not scanned: no key can reach the bar, so the skip
+    is exact."""
+    step = 4 if len(footers.files) >= 8 else 1
+    sample = list(footers.files[::step])
+    thr = max(1, int(threshold * len(sample) / len(footers.files)))
+    if sum(footers.file_rows[::step]) < max(1, thr // 2):
+        return None
+    if sum(os.path.getsize(f) for f in sample) < 2 << 30:
+        # small sample: a driver-local DuckDB scan (column-pruned) beats
+        # spinning up a Ray stage by seconds of fixed cost
+        return find_hot_keys_local(sample, thr) or None
+    return find_hot_keys(read_changes(sample, with_content=False), thr) or None
+
+
+def seq_bound(t: pa.Table, lo: int | None, hi: int | None) -> pa.Table:
+    """The date-bound replay's predicate (reference DateTimeFilter analog):
+    the rows with ``lo <= commit_seq < hi``, either bound optional."""
+    mask = pa.array([True] * len(t))
+    if lo is not None:
+        mask = pc.and_(mask, pc.greater_equal(t["commit_seq"], lo))
+    if hi is not None:
+        mask = pc.and_(mask, pc.less(t["commit_seq"], hi))
+    return t.filter(mask)
+
+
+def drop_partitions(t: pa.Table, pids: pa.Array) -> pa.Table:
+    """``t`` without the rows of the partitions ``pids`` (a resume's skip set)."""
+    return t.filter(pc.invert(pc.is_in(t["pkey"], value_set=pids)))
+
+
+def _normalizer(spec: ReplaySpec, hot_keys: set[str] | None, modifier_specs: tuple) -> Normalizer:
+    # the Normalizer instance is pickled into each task (tiny — the hot set
+    # travels by ObjectRef and is fetched from the local object store
+    # inside the worker)
+    hot_ref = ray.put(hot_keys) if hot_keys else None
+    return Normalizer(spec.num_partitions, spec.salt_buckets, hot_ref, modifier_specs)
 
 
 def normalized(
@@ -126,15 +199,11 @@ def normalized(
     hot_keys: set[str] | None = None,
     modifier_specs: tuple = (),
 ) -> rd.Dataset:
-    hot_ref = ray.put(hot_keys) if hot_keys else None
     # stateless tasks, not an actor pool: elastic parallelism, no pool
-    # ramp-up; the Normalizer instance is pickled into each task (tiny —
-    # the hot set travels by ObjectRef and is fetched from the local
-    # object store inside the worker)
-    # no explicit batch_size: one call per read block avoids a re-batching
-    # copy (sha/hash kernels are size-agnostic)
+    # ramp-up; no explicit batch_size: one call per read block avoids a
+    # re-batching copy (sha/hash kernels are size-agnostic)
     return changes.map_batches(
-        Normalizer(spec.num_partitions, spec.salt_buckets, hot_ref, modifier_specs),
+        _normalizer(spec, hot_keys, modifier_specs),
         batch_format="pyarrow",
         zero_copy_batch=True,
         **worker_runtime_env(),
@@ -145,6 +214,12 @@ def normalized(
 #: one merge call peaks at about 0.8 KB a row over its block (a 1M-row
 #: block: +0.76 GB; 250k rows: +0.21 GB)
 MERGE_ROWS_PER_TASK = 250_000
+#: the most rows a path delivery's footers may count for its B range tasks
+#: to read it whole each (``merge_small``) in place of the exchange.  Each
+#: row costs the small plan about 4 us more, against the exchange's fixed
+#: cost of about 0.2 s, at 4 CPUs: the small plan won at 4k-48k rows and
+#: lost a REPLACE at 64k (BASELINE.md session 16)
+SMALL_DELIVERY_ROWS = 32_000
 
 
 def merge_tasks(num_partitions: int, rows: int = 0) -> int:
@@ -181,6 +256,47 @@ def merged_groups(
     )
 
 
+@ray.remote(max_retries=-1, retry_exceptions=[ray.exceptions.RaySystemError])
+def _merge_range(
+    footers: Footers, normalizer: Normalizer, lo: int, hi: int, seq: tuple,
+    skip: pa.Array | None, merger_kwargs: dict,
+) -> None:
+    """A small delivery's merge task for the pkey range ``[lo, hi)``: read
+    the whole delivery, bound it by ``seq`` (``min_seq``, ``max_seq``),
+    normalize it, drop the ``skip`` partitions, and merge and commit the
+    rows of its range.  An empty range calls no merger, as Ray Data calls
+    no kernel on an empty block.  Retried like Ray Data's map tasks
+    (``ray/data/_internal/remote_fn.py``), so a dead worker's task reruns."""
+    import pyarrow.dataset as pads
+
+    t = pads.dataset(list(footers.files), schema=footers.schema).to_table()
+    if seq != (None, None):
+        t = seq_bound(t, *seq)
+    t = normalizer(t)
+    if skip is not None:
+        t = drop_partitions(t, skip)
+    t = t.filter(pc.and_(pc.greater_equal(t["pkey"], lo), pc.less(t["pkey"], hi)))
+    if len(t):
+        # in the order the exchange's stable sort on pkey leaves the rows
+        PartitionMerger(**merger_kwargs)(t.sort_by("pkey"))
+
+
+def merge_small(
+    footers: Footers, normalizer: Normalizer, merger_kwargs: dict, num_partitions: int,
+    seq: tuple = (None, None), skip: pa.Array | None = None,
+) -> None:
+    """The small delivery's plan: ``merge_tasks(num_partitions, rows)``
+    range tasks, cut at ``keyed_fold``'s boundaries and submitted as one
+    wave; returns when every task has committed."""
+    tasks = merge_tasks(num_partitions, footers.rows)
+    edges = [0, *fold_bounds(num_partitions, tasks), num_partitions]
+    task = _merge_range.options(**worker_runtime_env())
+    ray.get([
+        task.remote(footers, normalizer, lo, hi, seq, skip, merger_kwargs)
+        for lo, hi in zip(edges, edges[1:])
+    ])
+
+
 def replay(
     input_path: str | rd.Dataset,
     spec: ReplaySpec,
@@ -201,10 +317,12 @@ def replay(
     - ``_debug_skip_partitions``: test hook simulating a mid-run crash (the
       listed partitions are dropped before merge, leaving them uncommitted).
 
-    The exchange runs Ray Data's default pull-based sort in the
-    ``DataContext`` that ``keyed_fold`` gives the executed plan, so a path
-    and a caller's Dataset run the same schedule and neither the caller's
-    Dataset nor the process-wide context is changed.  The push-based sort
+    A path whose footers count at most ``SMALL_DELIVERY_ROWS`` rows runs
+    ``merge_small``; anything else the exchange.  The exchange runs Ray
+    Data's default pull-based sort in the ``DataContext`` that
+    ``keyed_fold`` gives the executed plan, so a path and a caller's
+    Dataset run the same schedule and neither the caller's Dataset nor the
+    process-wide context is changed.  The push-based sort
     was no faster at 4 CPUs and held more memory (BASELINE.md).
     """
     run_id = run_id or uuid.uuid4().hex[:8]
@@ -239,47 +357,26 @@ def replay(
         for f in glob.glob(os.path.join(p, "*.tmp-*")):
             os.remove(f)
 
-    changes, rows = input_path, 0
-    if isinstance(input_path, str):
-        changes = read_changes(input_path)
-        rows = changes.count()  # from the Parquet footers: no read runs
-    if spec.min_seq is not None or spec.max_seq is not None:
-        # date-bound replay (reference DateTimeFilter analog): a vectorized
-        # predicate right after the scan — rows outside the bound never
-        # reach the digest or the shuffle
-        lo, hi = spec.min_seq, spec.max_seq
-
-        def seq_bound(t: pa.Table) -> pa.Table:
-            mask = pa.array([True] * len(t))
-            if lo is not None:
-                mask = pc.and_(mask, pc.greater_equal(t["commit_seq"], lo))
-            if hi is not None:
-                mask = pc.and_(mask, pc.less(t["commit_seq"], hi))
-            return t.filter(mask)
-
-        changes = changes.map_batches(seq_bound, batch_format="pyarrow")
+    # the footers, read once: files, unified schema and row count
+    footers = read_footers(input_path) if isinstance(input_path, str) else None
+    small = footers is not None and footers.rows <= SMALL_DELIVERY_ROWS
+    # date-bound replay (reference DateTimeFilter analog): a vectorized
+    # predicate right after the scan — rows outside the bound never reach
+    # the digest or the shuffle
+    seq = (spec.min_seq, spec.max_seq)
+    changes = input_path
+    if not small:
+        if footers is not None:
+            changes = read_changes(footers)
+        if seq != (None, None):
+            changes = changes.map_batches(
+                seq_bound, batch_format="pyarrow", fn_kwargs={"lo": seq[0], "hi": seq[1]}
+            )
 
     hot_keys = None
     if spec.salt_buckets > 1 and spec.hot_key_threshold > 0:
-        if isinstance(input_path, str):
-            # Sampled pre-pass: every k-th log segment (~25% of files, spread
-            # across commit time), threshold scaled by the sampled fraction.
-            # Hot-key detection is a performance heuristic — a missed
-            # borderline key costs salting, never correctness.
-            files = sorted(glob.glob(os.path.join(input_path, "*.parquet")))
-            if not files:
-                files = [input_path]
-            sample = files[::4] if len(files) >= 8 else files
-            frac = len(sample) / len(files)
-            thr = max(1, int(spec.hot_key_threshold * frac))
-            sample_bytes = sum(os.path.getsize(f) for f in sample)
-            if sample_bytes < 2 << 30:
-                # small sample: a driver-local DuckDB scan (column-pruned)
-                # beats spinning up a Ray stage by seconds of fixed cost
-                hot_keys = find_hot_keys_local(sample, thr) or None
-            else:
-                key_ds = read_changes(sample, with_content=False)
-                hot_keys = find_hot_keys(key_ds, thr) or None
+        if footers is not None:
+            hot_keys = sampled_hot_keys(footers, spec.hot_key_threshold)
         else:
             hot_keys = find_hot_keys(changes, spec.hot_key_threshold) or None
 
@@ -336,8 +433,6 @@ def replay(
             )
             remove_keys_from_parts(spec.out_dir, newly_hot, spec.num_partitions)
 
-    norm = normalized(changes, spec, hot_keys, modifier_specs)
-
     skip = set()
     if resume:
         # Crash recovery. replace mode: the out_dir belongs to this build,
@@ -350,12 +445,7 @@ def replay(
         )
     if _debug_skip_partitions:
         skip |= set(_debug_skip_partitions)
-    if skip:
-        skip_arr = pa.array(sorted(skip), pa.int32())
-        norm = norm.map_batches(
-            lambda t: t.filter(pc.invert(pc.is_in(t["pkey"], value_set=skip_arr))),
-            batch_format="pyarrow",
-        )
+    skip_arr = pa.array(sorted(skip), pa.int32()) if skip else None
 
     wm_ref = ray.put(mf.watermarks(spec.out_dir) if spec.mode == "update" else {})
     merger_kwargs = dict(
@@ -368,13 +458,26 @@ def replay(
         merge_policy=spec.merge_policy,
         modifier_names=tuple(s.name for s in modifier_specs),
         state_cap_rows=spec.state_cap_rows,
+        num_partitions=spec.num_partitions,
     )
-    # materialize() executes the merge exactly once; every merge task writes
-    # its outputs (hot-key winners included) and commits them in one task
-    # record, with its partitions' records
-    merged = merged_groups(norm, merger_kwargs, spec.num_partitions, rows).materialize()
-    if os.environ.get("GRAFT_REPLAY_STATS"):  # per-stage wall-time breakdown
-        print(merged.stats(), file=sys.stderr)
+    # every merge task writes its outputs (hot-key winners included) and
+    # commits them in one task record, with its partitions' records
+    if small:
+        merge_small(
+            footers, _normalizer(spec, hot_keys, modifier_specs), merger_kwargs,
+            spec.num_partitions, seq, skip_arr,
+        )
+    else:
+        norm = normalized(changes, spec, hot_keys, modifier_specs)
+        if skip_arr is not None:
+            norm = norm.map_batches(
+                drop_partitions, batch_format="pyarrow", fn_kwargs={"pids": skip_arr}
+            )
+        # materialize() executes the merge exactly once
+        rows = footers.rows if footers is not None else 0
+        merged = merged_groups(norm, merger_kwargs, spec.num_partitions, rows).materialize()
+        if os.environ.get("GRAFT_REPLAY_STATS"):  # per-stage wall-time breakdown
+            print(merged.stats(), file=sys.stderr)
     # one fold of every hot run (this run's, prior runs', a skipped
     # partition's, the transition file) and the dims from the partials
     fold_hot_runs(spec.out_dir, reduce_hot_rows)

@@ -2,9 +2,11 @@
 
 Two entry points:
 
-- ``read_changes(path)``: read a Parquet change log (the engine's real
-  input per BASELINE.json input_hint), pruning to the engine's columns and
-  unifying evolved schemas (files with/without the added ``size`` column).
+- ``read_footers(path)`` / ``read_changes(path)``: a Parquet change log
+  (the engine's real input per BASELINE.json input_hint).  The footers are
+  opened once, for the file list, the row count and the unified schema
+  (files with/without the added ``size`` column, pruned to the engine's
+  columns); ``read_changes`` builds a Ray read from them.
 
 - ``changes_from_events(sf_dir)``: derive a deterministic change stream
   from the driver's ``events`` table with arithmetic that is expressible
@@ -17,54 +19,81 @@ Two entry points:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
 
-def read_changes(path: str | list[str], *, with_content: bool = True) -> rd.Dataset:
-    """Read a Parquet change log.
+#: the change log's columns the engine reads, in read order (``size`` is
+#: added when some file of the delivery carries it)
+_READ_COLUMNS = ["repo", "path", "commit", "lang", "commit_seq", "op", "content"]
 
-    Column pruning at the read: the merge pipeline never needs anything
-    outside the change schema.  Ray's read_parquet tolerates the
-    schema-evolution layout (later files carry ``size``) because downstream
-    stages normalize every batch through ``schemas.ensure_columns``.
-    """
+
+@dataclasses.dataclass(frozen=True)
+class Footers:
+    """What a Parquet change log's footers say, read once: the files, each
+    file's row count, and the unified schema every file is read with."""
+
+    path: str | list[str]
+    files: tuple[str, ...]
+    file_rows: tuple[int, ...]
+    schema: pa.Schema
+
+    @property
+    def rows(self) -> int:
+        return sum(self.file_rows)
+
+
+def read_footers(path: str | list[str]) -> Footers:
+    """Open every footer of the change log at ``path`` (a file, a directory
+    or a list of files) once.
+
+    Schema evolution: later log files may carry extra columns (``size``).
+    Reading with the unified schema both PRUNES to the engine's columns and
+    NULL-BACKFILLS files written before the evolution point -- Arrow schema
+    unification at the read, the engine's analog of the reference's
+    ontology reconciliation (dest/metadata/Metadata.java:424-513)."""
     import pyarrow.dataset as pads
 
-    from ..schemas import CHANGES, CHANGES_V2
+    from ..schemas import CHANGES_V2
+
+    names: set[str] = set()
+    files, rows = [], []
+    for frag in pads.dataset(path).get_fragments():
+        names.update(frag.physical_schema.names)
+        files.append(frag.path)
+        rows.append(frag.metadata.num_rows)
+    cols = _READ_COLUMNS + (["size"] if "size" in names else [])
+    schema = pa.schema([CHANGES_V2.field(c) for c in cols])
+    return Footers(path, tuple(files), tuple(rows), schema)
+
+
+def read_changes(path: str | list[str] | Footers, *, with_content: bool = True) -> rd.Dataset:
+    """Read a Parquet change log as a Ray Dataset, with the unified schema
+    of :func:`read_footers` (pass its result to read no footer again).
+
+    ``cdc_replay.replay`` reads a delivery through here only above
+    ``SMALL_DELIVERY_ROWS`` rows (or for the hot-key pre-pass of a large
+    sample); a smaller one its range tasks read whole, from the same
+    footers."""
     from ..util import cluster_cpus
 
-    cols = ["repo", "path", "commit", "lang", "commit_seq", "op"]
-    if with_content:
-        cols.append("content")
-    # Schema evolution: later log files may carry extra columns (``size``).
-    # Passing an explicit unified `schema=` to read_parquet both PRUNES to
-    # the engine's columns and NULL-BACKFILLS files written before the
-    # evolution point — Arrow schema unification at the read, the engine's
-    # analog of the reference's ontology reconciliation
-    # (dest/metadata/Metadata.java:424-513).
-    frag_names: set[str] = set()
-    n_files = 0
-    for frag in pads.dataset(path).get_fragments():
-        frag_names.update(frag.physical_schema.names)
-        n_files += 1
-    evolved = "size" in frag_names
-    base = CHANGES_V2 if evolved else CHANGES
-    if evolved:
-        cols.append("size")
-    schema = pa.schema([base.field(c) for c in cols])
+    footers = path if isinstance(path, Footers) else read_footers(path)
+    schema = footers.schema
+    if not with_content:
+        schema = schema.remove(schema.get_field_index("content"))
     # NOTE on read parallelism: Ray's ParquetDatasource assigns WHOLE files
     # to read tasks, and asking for more blocks than files only recuts each
     # file's decoded output (a SplitBlocks step, which also keeps Ray from
     # fusing the read with the Normalizer that follows).  So the read asks
-    # for one block per file, never more than the cluster's CPUs: a small
-    # delivery reads unsplit and fused, and a log with more files than
-    # CPUs reads several files per task.  Decode parallelism is therefore
-    # at most the file count, so write logs as many bounded-size segments,
-    # not a few giant files.
-    blocks = max(1, min(n_files, cluster_cpus()))
-    return rd.read_parquet(path, schema=schema, override_num_blocks=blocks)
+    # for one block per file, never more than the cluster's CPUs: a log
+    # with more files than CPUs reads several files per task.  Decode
+    # parallelism is therefore at most the file count, so write logs as
+    # many bounded-size segments, not a few giant files.
+    blocks = max(1, min(len(footers.files), cluster_cpus()))
+    return rd.read_parquet(footers.path, schema=schema, override_num_blocks=blocks)
 
 
 def read_changes_table(path: str) -> pa.Table:

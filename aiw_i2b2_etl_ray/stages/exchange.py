@@ -35,6 +35,16 @@ from ..functions.hashing import bucket_hash
 from ..util import cluster_cpus, worker_runtime_env
 
 
+def fold_bounds(num_buckets: int, tasks: int | None = None) -> list[int]:
+    """The B - 1 boundaries of the fold's contiguous bucket ranges, B =
+    ``min(num_buckets, tasks or util.cluster_cpus())``: range ``i`` holds
+    the buckets in ``[bounds[i - 1], bounds[i])``, as Ray's sort splits at
+    them.  The replay's small-delivery tasks take the same ranges, so both
+    of its plans cut the partitions alike."""
+    b = max(1, min(num_buckets, tasks or cluster_cpus()))
+    return [num_buckets * i // b for i in range(1, b)]
+
+
 def keyed_fold(
     ds: rd.Dataset,
     by: str | list[str],
@@ -57,9 +67,8 @@ def keyed_fold(
     so the operator is named ``MapBatches(<kernel>)``.  The returned
     Dataset carries its own copy of ``ds``'s ``DataContext``, with the
     per-operator reservation off."""
-    b = max(1, min(num_buckets, tasks or cluster_cpus()))
-    bounds = [num_buckets * i // b for i in range(1, b)]
-    if b == 1:
+    bounds = fold_bounds(num_buckets, tasks)
+    if not bounds:
         ds = ds.repartition(1)
     elif isinstance(by, str):
         ds = ds.sort(by, boundaries=bounds)

@@ -236,6 +236,9 @@ class PartitionMerger:
                        inside the call; return an empty PATH_DIM table.
         "path_dim"   — pure: return every converged path_dim row.
         "fact"       — pure: return applied change_fact rows.
+
+    ``num_partitions`` (the replay's P) lets the null-seq reject dedup also
+    read a salted key's cold home partition (``_prior_rejected``).
     """
 
     def __init__(
@@ -249,8 +252,10 @@ class PartitionMerger:
         merge_policy: str = "last_writer_wins",
         modifier_names: tuple = (),
         state_cap_rows: int | None = None,
+        num_partitions: int | None = None,
     ):
         self.emit = emit
+        self.num_partitions = num_partitions
         self.out_dirs = out_dirs or {}
         self.run_id = run_id
         self.mode = mode
@@ -457,18 +462,23 @@ class PartitionMerger:
     def _prior_rejected(self, g: pl.DataFrame) -> pl.DataFrame | None:
         """Content keys ``(repo, path, commit, reason)`` of the rejected
         rows PRIOR runs persisted, read from the files that cover the
-        partitions where ``g`` has a null ``commit_seq``: the task files
-        whose pkey range holds one of them, and the per-partition files of
-        an out_dir written before the task became the unit.  Null-seq
-        rejects bypass the watermark by design (no change-id ordering), so
-        under steady redelivery they would otherwise re-append every run;
-        this content-key dedup bounds the rejected table.  A block with no
+        partitions where ``g`` has a null ``commit_seq``, and those rows'
+        cold home partitions (a key salted since held its first copy
+        there): the task files whose pkey range holds one of them, and the
+        per-partition files of an out_dir written before the task became
+        the unit.  Null-seq rejects bypass the watermark by design (no
+        change-id ordering), so under steady redelivery they would
+        otherwise re-append every run; this content-key dedup bounds the
+        rejected table.  A block with no
         null-seq row reads no rejected file.  The current run's own files
         are excluded — a crash-resume rewrites them, so deduping against
         them would drop rows from the rewrite."""
-        pids = g.filter(pl.col("commit_seq").is_null())["pkey"].unique().to_list()
-        if not pids:
+        null_seq = g.filter(pl.col("commit_seq").is_null())
+        if not len(null_seq):
             return None
+        pids = set(null_seq["pkey"].to_list())
+        if self.num_partitions:
+            pids.update(routing.home_pids(routing.encode_keys(null_seq), self.num_partitions).tolist())
         frames = []
         for f in sorted(glob.glob(os.path.join(self.out_dirs["rejected"], "*.parquet"))):
             m = _RUN_FILE.fullmatch(os.path.basename(f))

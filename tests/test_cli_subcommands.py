@@ -97,3 +97,46 @@ def test_compact_cli_prints_hot_keys_left(changes_dir, tmp_path):
     n = pq.read_metadata(left).num_rows
     assert n > 0
     assert json.loads(r.stdout.strip().splitlines()[-1]) == {"hot_keys": n}
+
+
+_CAPS_SCRIPT = """
+import json, os, sys
+import ray
+from aiw_i2b2_etl_ray.__main__ import main
+
+seen = {}
+
+
+class Stop(Exception):
+    pass
+
+
+def init(*args, **kwargs):  # the caps as ray.init sees them; no session starts
+    seen.update({k: os.environ.get(k) for k in sys.argv[2:]})
+    raise Stop
+
+
+ray.init = init
+try:
+    main(["status", "--out", sys.argv[1]])
+except Stop:
+    pass
+print(json.dumps(seen))
+"""
+
+
+def test_cli_caps_kernel_threads_before_ray_init(tmp_path):
+    """``python -m aiw_i2b2_etl_ray`` sets the kernel thread caps before it
+    starts Ray, so workers inherit them and ``worker_runtime_env()`` gives
+    no stage a runtime_env of its own."""
+    from aiw_i2b2_etl_ray.util import WORKER_ENV
+
+    caps = WORKER_ENV["env_vars"]
+    env = {k: v for k, v in os.environ.items() if k not in caps}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    r = subprocess.run(
+        [sys.executable, "-c", _CAPS_SCRIPT, str(tmp_path), *caps],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert r.returncode == 0, r.stderr[-2000:]
+    assert json.loads(r.stdout.strip().splitlines()[-1]) == caps

@@ -5,7 +5,10 @@ after another and, at a 512 MiB object store, its merge tasks in two
 waves.  ``keyed_fold`` turns the reservation off for the plan it returns,
 in a ``DataContext`` of its own.  These tests read the schedule from
 ``ray.timeline()`` for a path and for a Dataset input, and check that
-neither the caller's Dataset nor the process-wide context changes.
+neither the caller's Dataset nor the process-wide context changes.  The
+log is small, so a path input would take the small-delivery plan; these
+tests force the exchange (``SMALL_DELIVERY_ROWS = 0``), and one checks
+that the small plan's range tasks start as one wave too.
 """
 
 import json
@@ -26,6 +29,7 @@ from .util import run_in_session
 
 NORMALIZE = "MapBatches(Normalizer)"
 MERGE = "MapBatches(_merge_group)"
+RANGE = "_merge_range"
 NUM_PARTITIONS = 8
 #: settings a replay could leave behind in a context
 KNOBS = ("op_resource_reservation_enabled", "shuffle_strategy", "target_max_block_size")
@@ -61,8 +65,11 @@ def assert_one_wave(spans: dict[str, list[tuple]]) -> None:
     assert any(b[0] < a[1] for a, b in zip(norm, norm[1:])), (
         f"normalize tasks ran one after another: {norm}"
     )
-    merge = spans.get(MERGE, [])
-    assert len(merge) == cdc_replay.merge_tasks(NUM_PARTITIONS), spans
+    assert_one_merge_wave(spans.get(MERGE, []))
+
+
+def assert_one_merge_wave(merge: list[tuple]) -> None:
+    assert len(merge) == cdc_replay.merge_tasks(NUM_PARTITIONS), merge
     first_end = min(end for _, end in merge)
     assert all(start < first_end for start, _ in merge), (
         f"a merge task waited for another to finish: {sorted(merge)}"
@@ -77,7 +84,9 @@ def timed_replay(log, out_dir: str) -> tuple[float, float]:
 
 
 @pytest.mark.parametrize("kind", ["path", "dataset"])
-def test_replay_runs_each_stage_in_one_wave(four_file_log, tmp_path, kind):
+def test_replay_runs_each_stage_in_one_wave(four_file_log, tmp_path, kind, monkeypatch):
+    monkeypatch.setattr(cdc_replay, "SMALL_DELIVERY_ROWS", 0)
+
     def log():
         return four_file_log if kind == "path" else read_changes(four_file_log)
 
@@ -86,10 +95,22 @@ def test_replay_runs_each_stage_in_one_wave(four_file_log, tmp_path, kind):
     assert_one_wave(task_spans(ray.timeline(), t0, t1))
 
 
+def test_small_delivery_runs_its_range_tasks_in_one_wave(four_file_log, tmp_path):
+    """A small path delivery runs no Ray Data operator: its B range tasks
+    are all the replay's tasks, and they start together."""
+    timed_replay(four_file_log, str(tmp_path / "warm"))
+    t0, t1 = timed_replay(four_file_log, str(tmp_path / "out"))
+    spans = task_spans(ray.timeline(), t0, t1)
+    assert list(spans) == [RANGE], spans
+    assert_one_merge_wave(spans[RANGE])
+
+
 _SMALL_STORE_SCRIPT = """
 import json, sys, time
 from aiw_i2b2_etl_ray.config import ReplaySpec
+from aiw_i2b2_etl_ray.pipelines import cdc_replay
 from aiw_i2b2_etl_ray.pipelines.cdc_replay import replay
+cdc_replay.SMALL_DELIVERY_ROWS = 0  # the exchange's schedule, on a small log
 log, out, partitions = sys.argv[1], sys.argv[2], int(sys.argv[3])
 for i in range(2):  # the first replay starts the worker pool
     t0 = time.time()

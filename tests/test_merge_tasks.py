@@ -4,7 +4,8 @@ An actor pool at the merge held a CPU per actor: with one logical CPU the
 pool took the only slot while the read/normalize/sort tasks it waited on
 could not be scheduled, and a replay never finished.  These tests pin the
 task-based plan and run a salted replace + update pair in a Ray session of
-its own with ``num_cpus=1``.
+its own with ``num_cpus=1``.  The plan tests feed a small log, so they
+force the exchange (``SMALL_DELIVERY_ROWS = 0``) to see its plan.
 """
 
 import json
@@ -115,6 +116,7 @@ def test_checkpoint_merge_runs_as_tasks(tmp_path, tiny_changes, monkeypatch):
         return ds
 
     monkeypatch.setattr(cdc_replay, "merged_groups", capture)
+    monkeypatch.setattr(cdc_replay, "SMALL_DELIVERY_ROWS", 0)
     spec = ReplaySpec(
         out_dir=str(tmp_path / "out"), num_partitions=8, salt_buckets=4, hot_key_threshold=50
     )
@@ -146,6 +148,7 @@ def test_replay_reads_fused_and_merges_in_one_task_per_range(tmp_path, tiny_chan
         return ds
 
     monkeypatch.setattr(cdc_replay, "merged_groups", capture)
+    monkeypatch.setattr(cdc_replay, "SMALL_DELIVERY_ROWS", 0)
     spec = ReplaySpec(
         out_dir=str(tmp_path / "out"), num_partitions=8, salt_buckets=4, hot_key_threshold=50
     )
@@ -190,6 +193,7 @@ def test_replay_sizes_merge_tasks_from_the_footer_row_count(tmp_path, tiny_chang
         return ds
 
     monkeypatch.setattr(cdc_replay, "merged_groups", capture)
+    monkeypatch.setattr(cdc_replay, "SMALL_DELIVERY_ROWS", 0)
     spec = ReplaySpec(out_dir=str(tmp_path / "out"), num_partitions=16, salt_buckets=1)
     summary = cdc_replay.replay(tiny_changes, spec)
     assert cdc_replay.merge_tasks(spec.num_partitions, rows) == cpus + 2

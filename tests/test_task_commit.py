@@ -263,6 +263,44 @@ def test_legacy_out_dir_takes_update_applies(tmp_path):
         assert ("partials" in r) != os.path.exists(legacy), r["partition_id"]
 
 
+def _rows(seqs, path=None, null_seq=False) -> pa.Table:
+    """Events at ``seqs`` over 3 repos x 40 paths, or all on ``r0/<path>``;
+    with ``null_seq`` each keeps its commit but has no ``commit_seq``."""
+    schema = _log(0, 0).schema
+    return pa.Table.from_pylist(
+        [
+            dict(
+                repo="r0" if path else f"r{s % 3}", path=path or f"f{s % 40}.py",
+                commit=f"c{s}", lang="py", content=f"body-{s % 11}",
+                commit_seq=None if null_seq else s, op="U",
+            )
+            for s in seqs
+        ],
+        schema=schema,
+    )
+
+
+def test_null_seq_reject_redelivered_after_its_key_turned_hot_is_kept_once(tmp_path):
+    """Six null-seq rejects of a cold key, redelivered in the batch that
+    makes the key hot (P=8, S=4, threshold 20): each is kept once.  They
+    now route to salt buckets, so the dedup must also read the key's cold
+    home partition, where the first copies were written."""
+    rejects = _rows(range(1000, 1006), path="hot.c", null_seq=True)
+    base = pa.concat_tables([_rows(range(200)), _rows(range(200, 203), path="hot.c"), rejects])
+    tail = pa.concat_tables([_rows(range(300, 330), path="hot.c"), rejects])
+    out = str(tmp_path / "out")
+    kw = dict(out_dir=out, num_partitions=8, salt_buckets=4, hot_key_threshold=20)
+    cdc_replay.replay(_write_log(base, tmp_path / "base"), ReplaySpec(**kw), run_id="b")
+    assert not mf.read_job_manifest(out)["hot_keys"]
+    cdc_replay.replay(_write_log(tail, tmp_path / "tail"), ReplaySpec(mode="update", **kw), run_id="t")
+    assert len(mf.read_job_manifest(out)["hot_keys"]) == 1
+
+    got = _table(out, "rejected/*.parquet").select(["repo", "path", "commit", "reason"]).to_pylist()
+    assert sorted(tuple(r.values()) for r in got) == sorted(
+        ("r0", "hot.c", f"c{s}", "null_seq") for s in range(1000, 1006)
+    )
+
+
 # --- one spelling of the legacy partials directory: a static guard -------------
 
 _DIMPART = re.compile(r"_dimpart")
