@@ -1,45 +1,46 @@
 """The flagship pipeline: full CDC replay to a converged Parquet star schema.
 
-Two plans, chosen by the delivery's Parquet footer row count.  A Dataset
-input, or a path whose footers count over ``SMALL_DELIVERY_ROWS`` rows,
-runs Ray Data's plan (one wide shuffle total):
+Three plans.  A path delivery skips Ray Data; its Parquet footers'
+row count picks one of two plans of plain Ray tasks.  Above
+``SMALL_DELIVERY_ROWS`` rows, the task exchange (``merge_exchange``):
 
-    read_parquet (pruned, <= CPUs blocks)          # sources.read_changes
-      -> map_batches(Normalizer, pyarrow, tasks)   # digest + validate + pkey
+    M map tasks, one per contiguous file group        # file_groups
+      each: read its files -> [seq bound]
+        -> Normalizer -> [resume skip]                # digest + validate + pkey
+        -> stable sort on pkey -> B pieces            # cut at fold_bounds
+    B merge tasks, one per contiguous pkey range      # THE exchange: a task
+      each: its M pieces, in file order               #   takes its pieces as
+        -> stable sort on pkey -> PartitionMerger     #   ObjectRef arguments;
+                                                      #   writes every output,
+                                                      #   hot-key winners too,
+                                                      #   one commit a task
+      -> [driver] fold_hot_runs                       # hot runs -> one file,
+                                                      #   dims from the records' partials
+
+At most ``SMALL_DELIVERY_ROWS`` rows, the fused plan (``merge_small``):
+the same map done inside each of the B range tasks, over the whole
+delivery, which then keeps its own range and merges it.  A second wave
+costs more than reading a small delivery B times (BASELINE.md sessions
+16 and 17).
+
+A Dataset input runs Ray Data's plan (one wide shuffle total):
+
+    map_batches(Normalizer, pyarrow, tasks)        # digest + validate + pkey
       -> [filter: skip committed partitions]       # resume path
-      -> keyed_fold(pkey, B contiguous ranges)     # THE shuffle:
-           sort at explicit boundaries,            #   stages.exchange
-           map_batches(_merge_group, one per range)  # many pkeys a call;
-                                                   #   writes every output,
-                                                   #   hot-key winners too,
-                                                   #   one commit a task
-      -> [driver] fold_hot_runs                    # hot runs -> one file,
-                                                   #   dims from the records' partials
-
-A path of at most ``SMALL_DELIVERY_ROWS`` rows skips Ray Data and its
-exchange (``merge_small``):
-
-    B plain Ray tasks, one per contiguous pkey range  # the ranges keyed_fold
-      each: read the whole delivery                   #   cuts (fold_bounds)
-        -> [seq bound] -> Normalizer -> [resume skip]
-        -> keep its own range -> PartitionMerger      # writes + commits, as above
+      -> keyed_fold(pkey, B contiguous ranges)     # stages.exchange: sort at
+           map_batches(_merge_group, one per range)  # explicit boundaries
       -> [driver] fold_hot_runs
 
-Each task reads and normalizes the whole delivery, which costs far less
-at this size than the exchange's fixed cost: its executor start, and
-read, sort map, sort reduce and merge each waiting for the one before
-(BASELINE.md session 16).  Both plans give a merge task the same rows,
-in the same order, so they write the same files.
+All three give a merge call the same rows, in the same order (per pkey,
+in input order), so they write the same files.
 
-The execution grain is B merge tasks (``merge_tasks``) in both plans: one per cluster
-CPU, more when the delivery's Parquet footers count over
+The execution grain is B merge tasks (``merge_tasks``) in every plan: one
+per cluster CPU, more when the delivery's Parquet footers count over
 ``MERGE_ROWS_PER_TASK`` rows a task, never more than ``num_partitions``.
-It is set by the cluster and the delivery, not by Ray's read split nor by
-the durable partition count: ``num_partitions`` part files, watermarks and
-manifests are as before, and a small delivery is read unsplit so Ray
-fuses the read with the Normalizer.  The read+normalize tasks, and then
-the B merge tasks, are each dispatched as one wave: ``keyed_fold`` runs
-the plan with Ray Data's per-operator reservation off, which had run the
+It is set by the cluster and the delivery, not by the durable partition
+count: ``num_partitions`` part files, watermarks and manifests are as
+before.  Each wave of tasks is submitted at once; ``keyed_fold`` runs
+Ray Data's plan with its per-operator reservation off, which had run the
 normalize tasks one at a time and, at a 512 MiB object store, the merge
 in two waves.
 
@@ -57,6 +58,7 @@ import shutil
 import sys
 import uuid
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -210,16 +212,16 @@ def normalized(
     )
 
 
-#: the most shuffled rows a merge task is given when the partitions allow:
-#: one merge call peaks at about 0.8 KB a row over its block (a 1M-row
-#: block: +0.76 GB; 250k rows: +0.21 GB)
+#: the most rows a task is given when the files or partitions allow: one
+#: merge call peaks at about 0.8 KB a row over its block (a 1M-row block:
+#: +0.76 GB; 250k rows: +0.21 GB)
 MERGE_ROWS_PER_TASK = 250_000
 #: the most rows a path delivery's footers may count for its B range tasks
-#: to read it whole each (``merge_small``) in place of the exchange.  Each
-#: row costs the small plan about 4 us more, against the exchange's fixed
-#: cost of about 0.2 s, at 4 CPUs: the small plan won at 4k-48k rows and
-#: lost a REPLACE at 64k (BASELINE.md session 16)
-SMALL_DELIVERY_ROWS = 32_000
+#: to read it whole each (``merge_small``) in place of the task exchange
+#: (``merge_exchange``).  At 4 CPUs the fused plan won at 2k rows, the two
+#: tied at 4k-12k and the task exchange won from 16k on (BASELINE.md
+#: session 17)
+SMALL_DELIVERY_ROWS = 8_000
 
 
 def merge_tasks(num_partitions: int, rows: int = 0) -> int:
@@ -228,22 +230,29 @@ def merge_tasks(num_partitions: int, rows: int = 0) -> int:
     ``MERGE_ROWS_PER_TASK`` rows, and never more than there are partitions:
     a task holds at most max(rows / num_partitions, MERGE_ROWS_PER_TASK)
     rows, give or take the key skew.  Up to one per CPU, the B tasks start
-    together (``keyed_fold`` turns off the reservation that held them back
-    to one task before a first one reported its output size)."""
+    together."""
     by_rows = -(-rows // MERGE_ROWS_PER_TASK)
     return max(1, min(num_partitions, max(cluster_cpus(), by_rows)))
+
+
+def file_groups(footers: Footers) -> list[tuple[str, ...]]:
+    """The task exchange's M map inputs: the delivery's files in M
+    contiguous groups of (nearly) equal file count, M = min(files,
+    max(CPUs, rows / ``MERGE_ROWS_PER_TASK``)), so no map task holds much
+    more than that many rows of a log of even files."""
+    n = len(footers.files)
+    m = min(n, max(cluster_cpus(), -(-footers.rows // MERGE_ROWS_PER_TASK)))
+    return [footers.files[n * i // m : n * (i + 1) // m] for i in range(m)]
 
 
 def _merge_group(group: pa.Table, merger_kwargs: dict) -> pa.Table:
     return PartitionMerger(**merger_kwargs)(group)
 
 
-def merged_groups(
-    norm: rd.Dataset, merger_kwargs: dict, num_partitions: int, rows: int = 0
-) -> rd.Dataset:
-    """The exchange and the merge: a keyed fold on ``pkey`` into
-    ``merge_tasks(num_partitions, rows)`` contiguous pkey ranges, one merge
-    call per range block.  A partition never straddles two blocks.  Stateless
+def merged_groups(norm: rd.Dataset, merger_kwargs: dict, num_partitions: int) -> rd.Dataset:
+    """A Dataset input's exchange and merge: a keyed fold on ``pkey`` into
+    ``merge_tasks(num_partitions)`` contiguous pkey ranges, one merge call
+    per range block.  A partition never straddles two blocks.  Stateless
     tasks, like normalize: the merger's only state is the broadcast
     watermark map, fetched from the local object store."""
     return keyed_fold(
@@ -251,34 +260,78 @@ def merged_groups(
         "pkey",
         _merge_group,
         num_partitions,
-        tasks=merge_tasks(num_partitions, rows),
+        tasks=merge_tasks(num_partitions),
         fn_kwargs={"merger_kwargs": merger_kwargs},
     )
 
 
-@ray.remote(max_retries=-1, retry_exceptions=[ray.exceptions.RaySystemError])
-def _merge_range(
-    footers: Footers, normalizer: Normalizer, lo: int, hi: int, seq: tuple,
-    skip: pa.Array | None, merger_kwargs: dict,
-) -> None:
-    """A small delivery's merge task for the pkey range ``[lo, hi)``: read
-    the whole delivery, bound it by ``seq`` (``min_seq``, ``max_seq``),
-    normalize it, drop the ``skip`` partitions, and merge and commit the
-    rows of its range.  An empty range calls no merger, as Ray Data calls
-    no kernel on an empty block.  Retried like Ray Data's map tasks
-    (``ray/data/_internal/remote_fn.py``), so a dead worker's task reruns."""
+def _mapped(
+    files: tuple, schema: pa.Schema, normalizer: Normalizer, seq: tuple, skip: pa.Array | None,
+) -> pa.Table:
+    """The map body of both path plans: ``files`` read with the delivery's
+    unified ``schema``, bounded by ``seq`` (``min_seq``, ``max_seq``),
+    normalized, without the ``skip`` partitions, and stable-sorted on
+    pkey: per pkey, in file order, as the exchange's sort leaves them."""
     import pyarrow.dataset as pads
 
-    t = pads.dataset(list(footers.files), schema=footers.schema).to_table()
+    t = pads.dataset(list(files), schema=schema).to_table()
     if seq != (None, None):
         t = seq_bound(t, *seq)
     t = normalizer(t)
     if skip is not None:
         t = drop_partitions(t, skip)
-    t = t.filter(pc.and_(pc.greater_equal(t["pkey"], lo), pc.less(t["pkey"], hi)))
+    return t.sort_by("pkey")
+
+
+def _cut(t: pa.Table, edges: list[int]) -> list[pa.Table]:
+    """``t``, sorted on pkey, sliced into the pkey ranges between ``edges``."""
+    at = np.searchsorted(t["pkey"].to_numpy(), edges).tolist()
+    return [t.slice(lo, hi - lo) for lo, hi in zip(at, at[1:])]
+
+
+def _merge(t: pa.Table, merger_kwargs: dict) -> None:
+    # an empty range calls no merger, as Ray Data calls no kernel on an
+    # empty block
     if len(t):
-        # in the order the exchange's stable sort on pkey leaves the rows
-        PartitionMerger(**merger_kwargs)(t.sort_by("pkey"))
+        PartitionMerger(**merger_kwargs)(t)
+
+
+# every task of both path plans retries like Ray Data's map tasks
+# (``ray/data/_internal/remote_fn.py``), so a dead worker's task reruns
+_retried = ray.remote(max_retries=-1, retry_exceptions=[ray.exceptions.RaySystemError])
+
+
+@_retried
+def _merge_range(
+    footers: Footers, normalizer: Normalizer, lo: int, hi: int, seq: tuple,
+    skip: pa.Array | None, merger_kwargs: dict,
+) -> None:
+    """A small delivery's task for the pkey range ``[lo, hi)``: map the
+    whole delivery, and merge and commit the rows of its range."""
+    [t] = _cut(_mapped(footers.files, footers.schema, normalizer, seq, skip), [lo, hi])
+    _merge(t, merger_kwargs)
+
+
+@_retried
+def _map_files(
+    files: tuple, schema: pa.Schema, normalizer: Normalizer, seq: tuple,
+    skip: pa.Array | None, edges: list[int],
+):
+    """A task exchange's map task: its files' rows, one piece per pkey range."""
+    pieces = _cut(_mapped(files, schema, normalizer, seq, skip), edges)
+    return pieces if len(pieces) > 1 else pieces[0]  # num_returns=1 takes the value
+
+
+@_retried
+def _merge_pieces(merger_kwargs: dict, *pieces: pa.Table) -> None:
+    """A task exchange's merge task: its range's pieces, in file order, in
+    the order of a stable sort on pkey over them all, merged and committed."""
+    _merge(pa.concat_tables(pieces).sort_by("pkey"), merger_kwargs)
+
+
+def _range_edges(num_partitions: int, rows: int) -> list[int]:
+    """``[0, *bounds, P]``: ``keyed_fold``'s B pkey ranges for ``rows``."""
+    return [0, *fold_bounds(num_partitions, merge_tasks(num_partitions, rows)), num_partitions]
 
 
 def merge_small(
@@ -288,13 +341,33 @@ def merge_small(
     """The small delivery's plan: ``merge_tasks(num_partitions, rows)``
     range tasks, cut at ``keyed_fold``'s boundaries and submitted as one
     wave; returns when every task has committed."""
-    tasks = merge_tasks(num_partitions, footers.rows)
-    edges = [0, *fold_bounds(num_partitions, tasks), num_partitions]
+    edges = _range_edges(num_partitions, footers.rows)
     task = _merge_range.options(**worker_runtime_env())
     ray.get([
         task.remote(footers, normalizer, lo, hi, seq, skip, merger_kwargs)
         for lo, hi in zip(edges, edges[1:])
     ])
+
+
+def merge_exchange(
+    footers: Footers, normalizer: Normalizer, merger_kwargs: dict, num_partitions: int,
+    seq: tuple = (None, None), skip: pa.Array | None = None,
+) -> None:
+    """A larger delivery's plan, the task exchange: M map tasks (one per
+    ``file_groups`` group) each cut their rows into the B ranges of
+    ``merge_small``, and B merge tasks each take their range's M pieces as
+    arguments; returns when every merge task has committed."""
+    edges = _range_edges(num_partitions, footers.rows)
+    b, env = len(edges) - 1, worker_runtime_env()
+    mapper = _map_files.options(num_returns=b, **env)
+    pieces = [
+        mapper.remote(files, footers.schema, normalizer, seq, skip, edges)
+        for files in file_groups(footers)
+    ]
+    if b == 1:
+        pieces = [[p] for p in pieces]
+    merge = _merge_pieces.options(**env)
+    ray.get([merge.remote(merger_kwargs, *ranged) for ranged in zip(*pieces)])
 
 
 def replay(
@@ -318,12 +391,12 @@ def replay(
       listed partitions are dropped before merge, leaving them uncommitted).
 
     A path whose footers count at most ``SMALL_DELIVERY_ROWS`` rows runs
-    ``merge_small``; anything else the exchange.  The exchange runs Ray
-    Data's default pull-based sort in the ``DataContext`` that
-    ``keyed_fold`` gives the executed plan, so a path and a caller's
-    Dataset run the same schedule and neither the caller's Dataset nor the
-    process-wide context is changed.  The push-based sort
-    was no faster at 4 CPUs and held more memory (BASELINE.md).
+    ``merge_small``, a larger one ``merge_exchange``, and a Dataset Ray
+    Data's exchange.  That runs Ray Data's default pull-based sort in the
+    ``DataContext`` that ``keyed_fold`` gives the executed plan, so neither
+    the caller's Dataset nor the process-wide context is changed.  The
+    push-based sort was no faster at 4 CPUs and held more memory
+    (BASELINE.md).
     """
     run_id = run_id or uuid.uuid4().hex[:8]
     paths = out_paths(spec)
@@ -357,21 +430,17 @@ def replay(
         for f in glob.glob(os.path.join(p, "*.tmp-*")):
             os.remove(f)
 
-    # the footers, read once: files, unified schema and row count
+    # a path's footers, read once: files, unified schema and row count
     footers = read_footers(input_path) if isinstance(input_path, str) else None
-    small = footers is not None and footers.rows <= SMALL_DELIVERY_ROWS
     # date-bound replay (reference DateTimeFilter analog): a vectorized
     # predicate right after the scan — rows outside the bound never reach
     # the digest or the shuffle
     seq = (spec.min_seq, spec.max_seq)
     changes = input_path
-    if not small:
-        if footers is not None:
-            changes = read_changes(footers)
-        if seq != (None, None):
-            changes = changes.map_batches(
-                seq_bound, batch_format="pyarrow", fn_kwargs={"lo": seq[0], "hi": seq[1]}
-            )
+    if footers is None and seq != (None, None):
+        changes = changes.map_batches(
+            seq_bound, batch_format="pyarrow", fn_kwargs={"lo": seq[0], "hi": seq[1]}
+        )
 
     hot_keys = None
     if spec.salt_buckets > 1 and spec.hot_key_threshold > 0:
@@ -462,8 +531,9 @@ def replay(
     )
     # every merge task writes its outputs (hot-key winners included) and
     # commits them in one task record, with its partitions' records
-    if small:
-        merge_small(
+    if footers is not None:
+        plan = merge_small if footers.rows <= SMALL_DELIVERY_ROWS else merge_exchange
+        plan(
             footers, _normalizer(spec, hot_keys, modifier_specs), merger_kwargs,
             spec.num_partitions, seq, skip_arr,
         )
@@ -474,8 +544,7 @@ def replay(
                 drop_partitions, batch_format="pyarrow", fn_kwargs={"pids": skip_arr}
             )
         # materialize() executes the merge exactly once
-        rows = footers.rows if footers is not None else 0
-        merged = merged_groups(norm, merger_kwargs, spec.num_partitions, rows).materialize()
+        merged = merged_groups(norm, merger_kwargs, spec.num_partitions).materialize()
         if os.environ.get("GRAFT_REPLAY_STATS"):  # per-stage wall-time breakdown
             print(merged.stats(), file=sys.stderr)
     # one fold of every hot run (this run's, prior runs', a skipped

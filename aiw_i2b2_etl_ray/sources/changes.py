@@ -6,7 +6,7 @@ Two entry points:
   (the engine's real input per BASELINE.json input_hint).  The footers are
   opened once, for the file list, the row count and the unified schema
   (files with/without the added ``size`` column, pruned to the engine's
-  columns); ``read_changes`` builds a Ray read from them.
+  columns); ``read_changes`` builds a Ray Data read from them.
 
 - ``changes_from_events(sf_dir)``: derive a deterministic change stream
   from the driver's ``events`` table with arithmetic that is expressible
@@ -70,17 +70,17 @@ def read_footers(path: str | list[str]) -> Footers:
     return Footers(path, tuple(files), tuple(rows), schema)
 
 
-def read_changes(path: str | list[str] | Footers, *, with_content: bool = True) -> rd.Dataset:
+def read_changes(path: str | list[str], *, with_content: bool = True) -> rd.Dataset:
     """Read a Parquet change log as a Ray Dataset, with the unified schema
-    of :func:`read_footers` (pass its result to read no footer again).
+    of :func:`read_footers`.
 
-    ``cdc_replay.replay`` reads a delivery through here only above
-    ``SMALL_DELIVERY_ROWS`` rows (or for the hot-key pre-pass of a large
-    sample); a smaller one its range tasks read whole, from the same
-    footers."""
+    ``cdc_replay.replay`` reads a path delivery with plain Ray tasks, from
+    its footers; it reads through here only for the hot-key pre-pass of a
+    sample over 2 GB.  A caller hands ``replay`` the Dataset this returns
+    to run Ray Data's plan."""
     from ..util import cluster_cpus
 
-    footers = path if isinstance(path, Footers) else read_footers(path)
+    footers = read_footers(path)
     schema = footers.schema
     if not with_content:
         schema = schema.remove(schema.get_field_index("content"))

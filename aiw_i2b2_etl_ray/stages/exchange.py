@@ -39,8 +39,9 @@ def fold_bounds(num_buckets: int, tasks: int | None = None) -> list[int]:
     """The B - 1 boundaries of the fold's contiguous bucket ranges, B =
     ``min(num_buckets, tasks or util.cluster_cpus())``: range ``i`` holds
     the buckets in ``[bounds[i - 1], bounds[i])``, as Ray's sort splits at
-    them.  The replay's small-delivery tasks take the same ranges, so both
-    of its plans cut the partitions alike."""
+    them.  The replay's path plans (``cdc_replay.merge_small`` and
+    ``merge_exchange``) take the same ranges, so all of its plans cut the
+    partitions alike."""
     b = max(1, min(num_buckets, tasks or cluster_cpus()))
     return [num_buckets * i // b for i in range(1, b)]
 

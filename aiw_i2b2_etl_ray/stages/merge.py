@@ -226,7 +226,7 @@ def fan_out_facts(df: pl.DataFrame, modifier_names: tuple = ()) -> pl.DataFrame:
 
 class PartitionMerger:
     """The merge of one block of the keyed exchange, built inside a
-    stateless task (``cdc_replay.merged_groups``); ``__init__`` fetches the
+    stateless task (``cdc_replay``'s merge tasks); ``__init__`` fetches the
     broadcast watermark map, its only state, from the local object store.
     A block may hold any number of partitions (``pkey`` values).
 

@@ -25,7 +25,8 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+#: the CPUs this process may use, unless ``RAY_GRAFT_CPUS`` says otherwise
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 BENCH_ROOT = os.environ.get("GRAFT_BENCH_ROOT", "/tmp/aiw_bench")
 
 #: scaling legs run with input+output on RAM-backed tmpfs: the scaling

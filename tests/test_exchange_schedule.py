@@ -4,11 +4,11 @@ Ray Data's per-operator reservation ran the replay's normalize tasks one
 after another and, at a 512 MiB object store, its merge tasks in two
 waves.  ``keyed_fold`` turns the reservation off for the plan it returns,
 in a ``DataContext`` of its own.  These tests read the schedule from
-``ray.timeline()`` for a path and for a Dataset input, and check that
-neither the caller's Dataset nor the process-wide context changes.  The
-log is small, so a path input would take the small-delivery plan; these
-tests force the exchange (``SMALL_DELIVERY_ROWS = 0``), and one checks
-that the small plan's range tasks start as one wave too.
+``ray.timeline()`` for a Dataset input, which runs that plan, and check
+that neither the caller's Dataset nor the process-wide context changes.
+A path input runs plain Ray tasks: on this small log its fused range
+tasks, or, with ``SMALL_DELIVERY_ROWS = 0``, the task exchange's map
+tasks and then its merge tasks; each kind starts as one wave too.
 """
 
 import json
@@ -21,7 +21,7 @@ from ray.data import DataContext
 
 from aiw_i2b2_etl_ray.config import ReplaySpec
 from aiw_i2b2_etl_ray.pipelines import cdc_replay, windows
-from aiw_i2b2_etl_ray.sources.changes import read_changes
+from aiw_i2b2_etl_ray.sources.changes import read_changes, read_footers
 from aiw_i2b2_etl_ray.stages.exchange import keyed_fold
 
 from .conftest import SF_DIR
@@ -30,6 +30,8 @@ from .util import run_in_session
 NORMALIZE = "MapBatches(Normalizer)"
 MERGE = "MapBatches(_merge_group)"
 RANGE = "_merge_range"
+MAP = "_map_files"
+PIECES = "_merge_pieces"
 NUM_PARTITIONS = 8
 #: settings a replay could leave behind in a context
 KNOBS = ("op_resource_reservation_enabled", "shuffle_strategy", "target_max_block_size")
@@ -70,10 +72,28 @@ def assert_one_wave(spans: dict[str, list[tuple]]) -> None:
 
 def assert_one_merge_wave(merge: list[tuple]) -> None:
     assert len(merge) == cdc_replay.merge_tasks(NUM_PARTITIONS), merge
-    first_end = min(end for _, end in merge)
-    assert all(start < first_end for start, _ in merge), (
-        f"a merge task waited for another to finish: {sorted(merge)}"
+    assert_started_together(merge)
+
+
+def assert_started_together(tasks: list[tuple]) -> None:
+    first_end = min(end for _, end in tasks)
+    assert all(start < first_end for start, _ in tasks), (
+        f"a task waited for another to finish: {sorted(tasks)}"
     )
+
+
+def assert_two_waves(spans: dict[str, list[tuple]], maps: int) -> None:
+    """The task exchange's schedule: only its own tasks, ``maps`` map
+    tasks as one wave, then the B merge tasks as one wave."""
+    assert set(spans) == {MAP, PIECES}, spans
+    assert len(spans[MAP]) == maps, spans
+    assert_started_together(spans[MAP])
+    assert_one_merge_wave(spans[PIECES])
+    assert max(end for _, end in spans[MAP]) <= min(start for start, _ in spans[PIECES])
+
+
+def map_tasks(log: str) -> int:
+    return len(cdc_replay.file_groups(read_footers(log)))
 
 
 def timed_replay(log, out_dir: str) -> tuple[float, float]:
@@ -92,12 +112,18 @@ def test_replay_runs_each_stage_in_one_wave(four_file_log, tmp_path, kind, monke
 
     timed_replay(log(), str(tmp_path / "warm"))  # starts the worker pool
     t0, t1 = timed_replay(log(), str(tmp_path / "out"))
-    assert_one_wave(task_spans(ray.timeline(), t0, t1))
+    spans = task_spans(ray.timeline(), t0, t1)
+    if kind == "path":  # the task exchange
+        assert_two_waves(spans, map_tasks(four_file_log))
+    else:
+        assert_one_wave(spans)
 
 
-def test_small_delivery_runs_its_range_tasks_in_one_wave(four_file_log, tmp_path):
+def test_small_delivery_runs_its_range_tasks_in_one_wave(four_file_log, tmp_path, monkeypatch):
     """A small path delivery runs no Ray Data operator: its B range tasks
-    are all the replay's tasks, and they start together."""
+    are all the replay's tasks, and they start together.  The log's 8,160
+    rows are over the bound, so the bound is raised to them."""
+    monkeypatch.setattr(cdc_replay, "SMALL_DELIVERY_ROWS", read_footers(four_file_log).rows)
     timed_replay(four_file_log, str(tmp_path / "warm"))
     t0, t1 = timed_replay(four_file_log, str(tmp_path / "out"))
     spans = task_spans(ray.timeline(), t0, t1)
@@ -110,14 +136,18 @@ import json, sys, time
 from aiw_i2b2_etl_ray.config import ReplaySpec
 from aiw_i2b2_etl_ray.pipelines import cdc_replay
 from aiw_i2b2_etl_ray.pipelines.cdc_replay import replay
-cdc_replay.SMALL_DELIVERY_ROWS = 0  # the exchange's schedule, on a small log
+from aiw_i2b2_etl_ray.sources.changes import read_changes
+cdc_replay.SMALL_DELIVERY_ROWS = 0  # the task exchange, on a small log
 log, out, partitions = sys.argv[1], sys.argv[2], int(sys.argv[3])
-for i in range(2):  # the first replay starts the worker pool
-    t0 = time.time()
-    replay(log, ReplaySpec(out_dir=f"{out}/{i}", num_partitions=partitions))
-    t1 = time.time()
+windows = {}
+for kind in ("path", "dataset"):
+    for i in range(2):  # the first replay starts the worker pool
+        t0 = time.time()
+        replay(log if kind == "path" else read_changes(log),
+               ReplaySpec(out_dir=f"{out}/{kind}{i}", num_partitions=partitions))
+        windows[kind] = (t0 * 1e6, time.time() * 1e6)
 tasks = [e for e in ray.timeline() if e.get("cat", "").startswith("task::")]
-print(json.dumps({"t0": t0 * 1e6, "t1": t1 * 1e6, "events": tasks}))
+print(json.dumps({"windows": windows, "events": tasks}))
 ray.shutdown()
 """
 
@@ -126,7 +156,7 @@ def test_merge_runs_in_one_wave_at_a_small_object_store(four_file_log, tmp_path)
     """At the benchmark's 512 MiB store the reservation's guess of a merge
     task's output (2 x target_max_block_size) admitted one merge task
     before the rest; a session of its own, as the store size is set at
-    ``ray.init``."""
+    ``ray.init``.  The task exchange runs in two waves there too."""
     out = run_in_session(
         _SMALL_STORE_SCRIPT,
         four_file_log,
@@ -137,7 +167,8 @@ def test_merge_runs_in_one_wave_at_a_small_object_store(four_file_log, tmp_path)
         what="replays at a 512 MiB object store",
     )
     got = json.loads(out.strip().splitlines()[-1])
-    assert_one_wave(task_spans(got["events"], got["t0"], got["t1"]))
+    assert_one_wave(task_spans(got["events"], *got["windows"]["dataset"]))
+    assert_two_waves(task_spans(got["events"], *got["windows"]["path"]), map_tasks(four_file_log))
 
 
 def _process_context() -> tuple:

@@ -4,8 +4,9 @@ An actor pool at the merge held a CPU per actor: with one logical CPU the
 pool took the only slot while the read/normalize/sort tasks it waited on
 could not be scheduled, and a replay never finished.  These tests pin the
 task-based plan and run a salted replace + update pair in a Ray session of
-its own with ``num_cpus=1``.  The plan tests feed a small log, so they
-force the exchange (``SMALL_DELIVERY_ROWS = 0``) to see its plan.
+its own with ``num_cpus=1``.  The Ray Data plan tests feed a Dataset
+input, which is the input that runs it; a path's task exchange is checked
+from ``ray.timeline()``.
 """
 
 import json
@@ -15,6 +16,7 @@ import pyarrow.parquet as pq
 
 from aiw_i2b2_etl_ray.config import ReplaySpec
 from aiw_i2b2_etl_ray.pipelines import cdc_replay
+from aiw_i2b2_etl_ray.sources.changes import read_changes
 
 from .util import assert_table_eq, run_one_cpu
 
@@ -116,11 +118,10 @@ def test_checkpoint_merge_runs_as_tasks(tmp_path, tiny_changes, monkeypatch):
         return ds
 
     monkeypatch.setattr(cdc_replay, "merged_groups", capture)
-    monkeypatch.setattr(cdc_replay, "SMALL_DELIVERY_ROWS", 0)
     spec = ReplaySpec(
         out_dir=str(tmp_path / "out"), num_partitions=8, salt_buckets=4, hot_key_threshold=50
     )
-    summary = cdc_replay.replay(tiny_changes, spec)
+    summary = cdc_replay.replay(read_changes(tiny_changes), spec)
     assert summary["partitions"] > 0
     assert ("TaskPoolMapOperator", "MapBatches(_merge_group)") in plans, plans
     assert not [op for op in plans if op[0] == "ActorPoolMapOperator"], plans
@@ -148,11 +149,10 @@ def test_replay_reads_fused_and_merges_in_one_task_per_range(tmp_path, tiny_chan
         return ds
 
     monkeypatch.setattr(cdc_replay, "merged_groups", capture)
-    monkeypatch.setattr(cdc_replay, "SMALL_DELIVERY_ROWS", 0)
     spec = ReplaySpec(
         out_dir=str(tmp_path / "out"), num_partitions=8, salt_buckets=4, hot_key_threshold=50
     )
-    cdc_replay.replay(tiny_changes, spec)
+    cdc_replay.replay(read_changes(tiny_changes), spec)
     b = cdc_replay.merge_tasks(spec.num_partitions)
     assert b == min(spec.num_partitions, int(ray.cluster_resources()["CPU"])) > 1
     assert ("TaskPoolMapOperator", "ReadParquet->MapBatches(Normalizer)") in plans, plans
@@ -175,28 +175,28 @@ def test_merge_tasks_bound_the_rows_of_a_task(monkeypatch):
 
 
 def test_replay_sizes_merge_tasks_from_the_footer_row_count(tmp_path, tiny_changes, monkeypatch):
-    """A delivery whose footers count more rows than the CPUs' tasks may
-    hold runs more merge tasks than CPUs, each over its own pkey range."""
+    """A path delivery whose footers count more rows than the CPUs' tasks
+    may hold runs more merge tasks than CPUs, each over its own pkey range:
+    the task exchange's M map tasks, then B = ``merge_tasks(P, rows)``
+    merge tasks."""
     import glob
+    import time
 
     import ray
 
-    rows = sum(pq.read_metadata(f).num_rows for f in glob.glob(f"{tiny_changes}/*.parquet"))
+    from .test_exchange_schedule import MAP, PIECES, task_spans
+
+    files = glob.glob(f"{tiny_changes}/*.parquet")
+    rows = sum(pq.read_metadata(f).num_rows for f in files)
     cpus = int(ray.cluster_resources()["CPU"])
     monkeypatch.setattr(cdc_replay, "MERGE_ROWS_PER_TASK", -(-rows // (cpus + 2)))
-    stats = []
-    orig = cdc_replay.merged_groups
-
-    def capture(*args, **kwargs):
-        ds = orig(*args, **kwargs).materialize()
-        stats.append(ds.stats())
-        return ds
-
-    monkeypatch.setattr(cdc_replay, "merged_groups", capture)
     monkeypatch.setattr(cdc_replay, "SMALL_DELIVERY_ROWS", 0)
     spec = ReplaySpec(out_dir=str(tmp_path / "out"), num_partitions=16, salt_buckets=1)
+    t0 = time.time()
     summary = cdc_replay.replay(tiny_changes, spec)
+    spans = task_spans(ray.timeline(), t0 * 1e6, time.time() * 1e6)
     assert cdc_replay.merge_tasks(spec.num_partitions, rows) == cpus + 2
-    assert f"MapBatches(_merge_group): {cpus + 2} tasks executed" in stats[0], stats[0]
+    assert len(spans[PIECES]) == cpus + 2, spans
+    assert len(spans[MAP]) == min(len(files), cpus + 2), spans
     assert len(glob.glob(str(tmp_path / "out" / "_manifest" / "part-*.json"))) == 16
     assert summary["lineage"]["rows_applied"] > 0

@@ -1,11 +1,14 @@
-"""A small path delivery skips the exchange, and both plans agree.
+"""A path delivery skips Ray Data, and all three plans agree.
 
-``cdc_replay.replay`` runs B plain range tasks for a path whose footers
-count at most ``SMALL_DELIVERY_ROWS`` rows, and Ray Data's read ->
-normalize -> sort -> merge plan for anything else.  Every case here runs
-on both plans (the exchange forced by ``SMALL_DELIVERY_ROWS = 0``); each
-out_dir is checked against ``oracle.replay``, and the two out_dirs must
-hold the same bytes in every file.
+``cdc_replay.replay`` runs B fused range tasks for a path whose footers
+count at most ``SMALL_DELIVERY_ROWS`` rows (``merge_small``), the task
+exchange for a larger one (``merge_exchange``: M map tasks, then B merge
+tasks), and Ray Data's ``keyed_fold`` plan for a Dataset input.  Every
+case here runs on all three plans (the task exchange forced by
+``SMALL_DELIVERY_ROWS = 0``, the Dataset plan by handing ``replay`` a
+``read_changes`` of the path); each out_dir is checked against
+``oracle.replay``, and the three out_dirs must hold the same bytes in
+every file.
 """
 
 import glob
@@ -20,13 +23,14 @@ import pytest
 from aiw_i2b2_etl_ray import oracle
 from aiw_i2b2_etl_ray.config import ModifierSpec, ReplaySpec
 from aiw_i2b2_etl_ray.pipelines import cdc_replay
-from aiw_i2b2_etl_ray.sources.changes import read_changes_table
+from aiw_i2b2_etl_ray.sources.changes import Footers, read_changes, read_changes_table
 from aiw_i2b2_etl_ray.stages.merge import load_path_dim
 from aiw_i2b2_etl_ray.state import manifest as mf
 
 from .util import assert_table_eq
 
-PLANS = ("small", "exchange")
+#: each plan's entry point in ``cdc_replay``
+PLANS = {"fused": "merge_small", "exchange": "merge_exchange", "dataset": "merged_groups"}
 COLD = dict(num_partitions=8, salt_buckets=1, hot_key_threshold=0)
 SALTED = dict(num_partitions=8, salt_buckets=4, hot_key_threshold=40)
 _SCHEMA = pa.schema(
@@ -251,35 +255,81 @@ CASES = {
 }
 
 
+def _record_plans(monkeypatch) -> list[str]:
+    """The plans that run from here on, in order, by ``PLANS`` name."""
+    ran = []
+    for plan, fn in PLANS.items():
+        orig = getattr(cdc_replay, fn)
+        monkeypatch.setattr(cdc_replay, fn, lambda *a, _p=plan, _f=orig, **k: ran.append(_p) or _f(*a, **k))
+    return ran
+
+
 @pytest.mark.parametrize("case", list(CASES))
 def test_both_plans_match_the_oracle_and_each_other(case, tmp_path, monkeypatch):
+    """Both path plans, fused and the task exchange, and a Dataset input
+    through ``keyed_fold``: each matches the oracle, byte for byte alike."""
     trees = {}
+    ran = _record_plans(monkeypatch)
+    bound, replay = cdc_replay.SMALL_DELIVERY_ROWS, cdc_replay.replay
     for plan in PLANS:
-        bound = cdc_replay.SMALL_DELIVERY_ROWS if plan == "small" else 0
-        monkeypatch.setattr(cdc_replay, "SMALL_DELIVERY_ROWS", bound)
-        calls = []
-        orig = cdc_replay.merge_small
-        monkeypatch.setattr(cdc_replay, "merge_small", lambda *a, **k: calls.append(1) or orig(*a, **k))
+        monkeypatch.setattr(cdc_replay, "SMALL_DELIVERY_ROWS", 0 if plan == "exchange" else bound)
+        if plan == "dataset":
+            monkeypatch.setattr(cdc_replay, "replay", lambda log, *a, **k: replay(read_changes(log), *a, **k))
+        ran.clear()
         out = str(tmp_path / plan / "out")
         applies, kw = CASES[case](tmp_path / plan, out)
-        assert bool(calls) == (plan == "small"), (plan, len(calls))
+        assert set(ran) == {plan}, (plan, ran)
         _check_oracle(out, applies, **kw)
         trees[plan] = _tree(out)
-    small, exchange = trees["small"], trees["exchange"]
-    assert sorted(small) == sorted(exchange)
-    assert [f for f in small if small[f] != exchange[f]] == []
+    fused = trees["fused"]
+    for plan in ("exchange", "dataset"):
+        assert sorted(trees[plan]) == sorted(fused), plan
+        assert [f for f in fused if fused[f] != trees[plan][f]] == [], plan
 
 
 def test_the_bound_is_inclusive(tmp_path, monkeypatch):
-    """A delivery of exactly ``SMALL_DELIVERY_ROWS`` rows takes the small
-    plan; one row more takes the exchange."""
+    """A path delivery of exactly ``SMALL_DELIVERY_ROWS`` rows takes the
+    fused plan; one row more takes the task exchange.  A Dataset input
+    takes Ray Data's plan whatever its size."""
     log = _write(_log(0, 400), tmp_path / "log")
     rows = sum(pq.read_metadata(f).num_rows for f in glob.glob(f"{log}/*.parquet"))
-    plans = []
-    orig_small, orig_exchange = cdc_replay.merge_small, cdc_replay.merged_groups
-    monkeypatch.setattr(cdc_replay, "merge_small", lambda *a, **k: plans.append("small") or orig_small(*a, **k))
-    monkeypatch.setattr(cdc_replay, "merged_groups", lambda *a, **k: plans.append("exchange") or orig_exchange(*a, **k))
+    ran = _record_plans(monkeypatch)
     for bound in (rows, rows - 1):
         monkeypatch.setattr(cdc_replay, "SMALL_DELIVERY_ROWS", bound)
         cdc_replay.replay(log, ReplaySpec(out_dir=str(tmp_path / f"out{bound}"), **COLD))
-    assert plans == ["small", "exchange"]
+    cdc_replay.replay(read_changes(log), ReplaySpec(out_dir=str(tmp_path / "outds"), **COLD))
+    assert ran == ["fused", "exchange", "dataset"]
+
+
+def test_a_path_above_the_bound_builds_no_ray_data_plan(tmp_path, monkeypatch):
+    """The task exchange reads, normalizes and exchanges with plain Ray
+    tasks: a path replay over the bound, salted so that the hot pre-pass
+    runs, builds no Ray Data read and no keyed fold."""
+    import ray.data
+
+    def no_ray_data(*a, **k):
+        raise AssertionError("a path replay built a Ray Data plan")
+
+    monkeypatch.setattr(ray.data, "read_parquet", no_ray_data)
+    monkeypatch.setattr(cdc_replay, "keyed_fold", no_ray_data)
+    monkeypatch.setattr(cdc_replay, "SMALL_DELIVERY_ROWS", 0)
+    base, tail = _log(0, 600, hot_from=300), _log(500, 900, hot_from=300)
+    out = str(tmp_path / "out")
+    cdc_replay.replay(_write(base, tmp_path / "base", files=3), ReplaySpec(out_dir=out, **SALTED))
+    cdc_replay.replay(_write(tail, tmp_path / "tail", files=3), ReplaySpec(out_dir=out, mode="update", **SALTED))
+    assert mf.read_job_manifest(out)["hot_keys"], "the pre-pass must find the hot key"
+    _check_oracle(out, [base, tail])
+
+
+@pytest.mark.parametrize("files, rows_per_file, cpus", [(23, 120_000, 4), (23, 1_000, 4), (3, 400_000, 8)])
+def test_file_groups_are_contiguous_and_cover_every_file(files, rows_per_file, cpus, monkeypatch):
+    """M = min(files, max(CPUs, ceil(rows / MERGE_ROWS_PER_TASK))) groups
+    of consecutive files, every file in exactly one."""
+    monkeypatch.setattr(cdc_replay, "cluster_cpus", lambda: cpus)
+    names = tuple(f"part-{i:05d}.parquet" for i in range(files))
+    footers = Footers("log", names, (rows_per_file,) * files, _SCHEMA)
+    groups = cdc_replay.file_groups(footers)
+    by_rows = -(-files * rows_per_file // cdc_replay.MERGE_ROWS_PER_TASK)
+    assert len(groups) == min(files, max(cpus, by_rows))
+    assert all(groups) and tuple(f for g in groups for f in g) == names
+    assert max(map(len, groups)) - min(map(len, groups)) <= 1
