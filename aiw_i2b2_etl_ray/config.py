@@ -56,7 +56,7 @@ class ReplaySpec:
             layout (one part file, watermark and manifest each).  The merge
             runs one task per cluster CPU over a contiguous range of
             partitions, and more tasks, up to ``num_partitions``, when a
-            Parquet delivery's footers count over
+            delivery (a log's footers, a Dataset's blocks) counts over
             ``cdc_replay.MERGE_ROWS_PER_TASK`` rows a task.  So a task holds
             at most max(rows / num_partitions, MERGE_ROWS_PER_TASK) rows
             (~100 B/row after normalize; the merge peaks near 0.8 KB/row):

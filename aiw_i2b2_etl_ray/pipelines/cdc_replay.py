@@ -1,15 +1,17 @@
 """The flagship pipeline: full CDC replay to a converged Parquet star schema.
 
-Three plans.  A path delivery skips Ray Data; its Parquet footers'
-row count picks one of two plans of plain Ray tasks.  Above
-``SMALL_DELIVERY_ROWS`` rows, the task exchange (``merge_exchange``):
+Two plans, both of plain Ray tasks, for every input.  A path delivery is
+read from its Parquet files, which its footers list and count; a Dataset
+input is materialized once and read from its Arrow blocks (both a
+``sources.changes.Delivery`` of parts).  The row count picks the plan.
+Above ``SMALL_DELIVERY_ROWS`` rows, the task exchange (``merge_exchange``):
 
-    M map tasks, one per contiguous file group        # file_groups
-      each: read its files -> [seq bound]
+    M map tasks, one per contiguous part group        # part_groups
+      each: read its parts -> [seq bound]
         -> Normalizer -> [resume skip]                # digest + validate + pkey
         -> stable sort on pkey -> B pieces            # cut at fold_bounds
     B merge tasks, one per contiguous pkey range      # THE exchange: a task
-      each: its M pieces, in file order               #   takes its pieces as
+      each: its M pieces, in part order               #   takes its pieces as
         -> stable sort on pkey -> PartitionMerger     #   ObjectRef arguments;
                                                       #   writes every output,
                                                       #   hot-key winners too,
@@ -23,26 +25,18 @@ delivery, which then keeps its own range and merges it.  A second wave
 costs more than reading a small delivery B times (BASELINE.md sessions
 16 and 17).
 
-A Dataset input runs Ray Data's plan (one wide shuffle total):
+Both give a merge call the same rows, in the same order (per pkey, in
+input order), so they write the same files, whatever the input's kind.
 
-    map_batches(Normalizer, pyarrow, tasks)        # digest + validate + pkey
-      -> [filter: skip committed partitions]       # resume path
-      -> keyed_fold(pkey, B contiguous ranges)     # stages.exchange: sort at
-           map_batches(_merge_group, one per range)  # explicit boundaries
-      -> [driver] fold_hot_runs
+The execution grain is B merge tasks (``merge_tasks``): one per cluster
+CPU, more when the delivery counts over ``MERGE_ROWS_PER_TASK`` rows a
+task, never more than ``num_partitions``.  It is set by the cluster and
+the delivery, not by the durable partition count: ``num_partitions``
+part files, watermarks and manifests are as before.  Each wave of tasks
+is submitted at once.
 
-All three give a merge call the same rows, in the same order (per pkey,
-in input order), so they write the same files.
-
-The execution grain is B merge tasks (``merge_tasks``) in every plan: one
-per cluster CPU, more when the delivery's Parquet footers count over
-``MERGE_ROWS_PER_TASK`` rows a task, never more than ``num_partitions``.
-It is set by the cluster and the delivery, not by the durable partition
-count: ``num_partitions`` part files, watermarks and manifests are as
-before.  Each wave of tasks is submitted at once; ``keyed_fold`` runs
-Ray Data's plan with its per-operator reservation off, which had run the
-normalize tasks one at a time and, at a 512 MiB object store, the merge
-in two waves.
+``replay_table``, the pure variant, runs Ray Data's plan instead:
+``normalized`` -> ``merged_groups`` (a ``keyed_fold`` on pkey).
 
 Reference lifecycle parity (dest/I2b2QueryResultsHandler.java): start() ->
 config + broadcast state; handleQueryResult -> Normalizer; finish() ->
@@ -55,7 +49,6 @@ from __future__ import annotations
 import glob
 import os
 import shutil
-import sys
 import uuid
 
 import numpy as np
@@ -66,7 +59,7 @@ import ray
 import ray.data as rd
 
 from ..config import ReplaySpec, out_paths
-from ..sources.changes import Footers, read_changes, read_footers
+from ..sources.changes import Delivery, read_blocks, read_changes, read_footers
 from ..stages import routing
 from ..stages.exchange import fold_bounds, keyed_fold
 from ..stages.merge import PartitionMerger, fold_hot_runs, reduce_hot_rows
@@ -151,7 +144,7 @@ def _duckdb():
     return _DUCKDB.cursor()
 
 
-def sampled_hot_keys(footers: Footers, threshold: int) -> set[str] | None:
+def sampled_hot_keys(footers: Delivery, threshold: int) -> set[str] | None:
     """The pre-pass of a path delivery, sampled: every 4th log segment
     (~25% of files, spread across commit time) when there are 8 or more,
     with the threshold scaled by the sampled fraction.  Hot-key detection
@@ -159,10 +152,10 @@ def sampled_hot_keys(footers: Footers, threshold: int) -> set[str] | None:
     never correctness.  A sample whose footers count fewer rows than the
     bar ``thr // 2`` is not scanned: no key can reach the bar, so the skip
     is exact."""
-    step = 4 if len(footers.files) >= 8 else 1
-    sample = list(footers.files[::step])
-    thr = max(1, int(threshold * len(sample) / len(footers.files)))
-    if sum(footers.file_rows[::step]) < max(1, thr // 2):
+    step = 4 if len(footers.parts) >= 8 else 1
+    sample = list(footers.parts[::step])
+    thr = max(1, int(threshold * len(sample) / len(footers.parts)))
+    if sum(footers.part_rows[::step]) < max(1, thr // 2):
         return None
     if sum(os.path.getsize(f) for f in sample) < 2 << 30:
         # small sample: a driver-local DuckDB scan (column-pruned) beats
@@ -216,8 +209,8 @@ def normalized(
 #: merge call peaks at about 0.8 KB a row over its block (a 1M-row block:
 #: +0.76 GB; 250k rows: +0.21 GB)
 MERGE_ROWS_PER_TASK = 250_000
-#: the most rows a path delivery's footers may count for its B range tasks
-#: to read it whole each (``merge_small``) in place of the task exchange
+#: the most rows a delivery may count for its B range tasks to read it
+#: whole each (``merge_small``) in place of the task exchange
 #: (``merge_exchange``).  At 4 CPUs the fused plan won at 2k rows, the two
 #: tied at 4k-12k and the task exchange won from 16k on (BASELINE.md
 #: session 17)
@@ -235,14 +228,14 @@ def merge_tasks(num_partitions: int, rows: int = 0) -> int:
     return max(1, min(num_partitions, max(cluster_cpus(), by_rows)))
 
 
-def file_groups(footers: Footers) -> list[tuple[str, ...]]:
-    """The task exchange's M map inputs: the delivery's files in M
-    contiguous groups of (nearly) equal file count, M = min(files,
+def part_groups(delivery: Delivery) -> list[tuple]:
+    """The task exchange's M map inputs: the delivery's parts in M
+    contiguous groups of (nearly) equal part count, M = min(parts,
     max(CPUs, rows / ``MERGE_ROWS_PER_TASK``)), so no map task holds much
-    more than that many rows of a log of even files."""
-    n = len(footers.files)
-    m = min(n, max(cluster_cpus(), -(-footers.rows // MERGE_ROWS_PER_TASK)))
-    return [footers.files[n * i // m : n * (i + 1) // m] for i in range(m)]
+    more than that many rows of a delivery of even parts."""
+    n = len(delivery.parts)
+    m = min(n, max(cluster_cpus(), -(-delivery.rows // MERGE_ROWS_PER_TASK)))
+    return [delivery.parts[n * i // m : n * (i + 1) // m] for i in range(m)]
 
 
 def _merge_group(group: pa.Table, merger_kwargs: dict) -> pa.Table:
@@ -250,31 +243,29 @@ def _merge_group(group: pa.Table, merger_kwargs: dict) -> pa.Table:
 
 
 def merged_groups(norm: rd.Dataset, merger_kwargs: dict, num_partitions: int) -> rd.Dataset:
-    """A Dataset input's exchange and merge: a keyed fold on ``pkey`` into
-    ``merge_tasks(num_partitions)`` contiguous pkey ranges, one merge call
-    per range block.  A partition never straddles two blocks.  Stateless
-    tasks, like normalize: the merger's only state is the broadcast
-    watermark map, fetched from the local object store."""
+    """``replay_table``'s exchange and merge: a keyed fold on ``pkey`` into
+    ``merge_tasks(num_partitions)`` contiguous pkey ranges (the fold's
+    default, one per CPU), one merge call per range block.  A partition
+    never straddles two blocks.  Stateless tasks, like normalize."""
     return keyed_fold(
-        norm,
-        "pkey",
-        _merge_group,
-        num_partitions,
-        tasks=merge_tasks(num_partitions),
-        fn_kwargs={"merger_kwargs": merger_kwargs},
+        norm, "pkey", _merge_group, num_partitions, fn_kwargs={"merger_kwargs": merger_kwargs}
     )
 
 
 def _mapped(
-    files: tuple, schema: pa.Schema, normalizer: Normalizer, seq: tuple, skip: pa.Array | None,
+    parts: tuple, schema: pa.Schema | None, normalizer: Normalizer, seq: tuple,
+    skip: pa.Array | None,
 ) -> pa.Table:
-    """The map body of both path plans: ``files`` read with the delivery's
-    unified ``schema``, bounded by ``seq`` (``min_seq``, ``max_seq``),
-    normalized, without the ``skip`` partitions, and stable-sorted on
-    pkey: per pkey, in file order, as the exchange's sort leaves them."""
-    import pyarrow.dataset as pads
+    """The map body of both plans: ``parts`` read (files with the
+    delivery's unified ``schema``, Arrow blocks as they are), bounded by
+    ``seq`` (``min_seq``, ``max_seq``), normalized, without the ``skip``
+    partitions, and stable-sorted on pkey: per pkey, in part order."""
+    if schema is None:
+        t = pa.concat_tables(parts, promote_options="permissive")
+    else:
+        import pyarrow.dataset as pads
 
-    t = pads.dataset(list(files), schema=schema).to_table()
+        t = pads.dataset(list(parts), schema=schema).to_table()
     if seq != (None, None):
         t = seq_bound(t, *seq)
     t = normalizer(t)
@@ -296,35 +287,37 @@ def _merge(t: pa.Table, merger_kwargs: dict) -> None:
         PartitionMerger(**merger_kwargs)(t)
 
 
-# every task of both path plans retries like Ray Data's map tasks
-# (``ray/data/_internal/remote_fn.py``), so a dead worker's task reruns
+# every task of both plans retries like Ray Data's map tasks
+# (``ray/data/_internal/remote_fn.py``), so a dead worker's task reruns.
+# A task takes its parts as trailing arguments: Ray resolves a block's
+# ObjectRef to its table before the task runs
 _retried = ray.remote(max_retries=-1, retry_exceptions=[ray.exceptions.RaySystemError])
 
 
 @_retried
 def _merge_range(
-    footers: Footers, normalizer: Normalizer, lo: int, hi: int, seq: tuple,
-    skip: pa.Array | None, merger_kwargs: dict,
+    schema: pa.Schema | None, normalizer: Normalizer, lo: int, hi: int, seq: tuple,
+    skip: pa.Array | None, merger_kwargs: dict, *parts,
 ) -> None:
     """A small delivery's task for the pkey range ``[lo, hi)``: map the
     whole delivery, and merge and commit the rows of its range."""
-    [t] = _cut(_mapped(footers.files, footers.schema, normalizer, seq, skip), [lo, hi])
+    [t] = _cut(_mapped(parts, schema, normalizer, seq, skip), [lo, hi])
     _merge(t, merger_kwargs)
 
 
 @_retried
-def _map_files(
-    files: tuple, schema: pa.Schema, normalizer: Normalizer, seq: tuple,
-    skip: pa.Array | None, edges: list[int],
+def _map_parts(
+    schema: pa.Schema | None, normalizer: Normalizer, seq: tuple, skip: pa.Array | None,
+    edges: list[int], *parts,
 ):
-    """A task exchange's map task: its files' rows, one piece per pkey range."""
-    pieces = _cut(_mapped(files, schema, normalizer, seq, skip), edges)
+    """A task exchange's map task: its parts' rows, one piece per pkey range."""
+    pieces = _cut(_mapped(parts, schema, normalizer, seq, skip), edges)
     return pieces if len(pieces) > 1 else pieces[0]  # num_returns=1 takes the value
 
 
 @_retried
 def _merge_pieces(merger_kwargs: dict, *pieces: pa.Table) -> None:
-    """A task exchange's merge task: its range's pieces, in file order, in
+    """A task exchange's merge task: its range's pieces, in part order, in
     the order of a stable sort on pkey over them all, merged and committed."""
     _merge(pa.concat_tables(pieces).sort_by("pkey"), merger_kwargs)
 
@@ -335,39 +328,40 @@ def _range_edges(num_partitions: int, rows: int) -> list[int]:
 
 
 def merge_small(
-    footers: Footers, normalizer: Normalizer, merger_kwargs: dict, num_partitions: int,
+    delivery: Delivery, normalizer: Normalizer, merger_kwargs: dict, num_partitions: int,
     seq: tuple = (None, None), skip: pa.Array | None = None,
-) -> None:
+) -> list:
     """The small delivery's plan: ``merge_tasks(num_partitions, rows)``
     range tasks, cut at ``keyed_fold``'s boundaries and submitted as one
-    wave; returns when every task has committed."""
-    edges = _range_edges(num_partitions, footers.rows)
+    wave; returns their refs, ready when every task has committed."""
+    edges = _range_edges(num_partitions, delivery.rows)
     task = _merge_range.options(**worker_runtime_env())
-    ray.get([
-        task.remote(footers, normalizer, lo, hi, seq, skip, merger_kwargs)
+    return [
+        task.remote(delivery.schema, normalizer, lo, hi, seq, skip, merger_kwargs, *delivery.parts)
         for lo, hi in zip(edges, edges[1:])
-    ])
+    ]
 
 
 def merge_exchange(
-    footers: Footers, normalizer: Normalizer, merger_kwargs: dict, num_partitions: int,
+    delivery: Delivery, normalizer: Normalizer, merger_kwargs: dict, num_partitions: int,
     seq: tuple = (None, None), skip: pa.Array | None = None,
-) -> None:
+) -> list:
     """A larger delivery's plan, the task exchange: M map tasks (one per
-    ``file_groups`` group) each cut their rows into the B ranges of
+    ``part_groups`` group) each cut their rows into the B ranges of
     ``merge_small``, and B merge tasks each take their range's M pieces as
-    arguments; returns when every merge task has committed."""
-    edges = _range_edges(num_partitions, footers.rows)
+    arguments; returns the merge tasks' refs, ready when each has
+    committed."""
+    edges = _range_edges(num_partitions, delivery.rows)
     b, env = len(edges) - 1, worker_runtime_env()
-    mapper = _map_files.options(num_returns=b, **env)
+    mapper = _map_parts.options(num_returns=b, **env)
     pieces = [
-        mapper.remote(files, footers.schema, normalizer, seq, skip, edges)
-        for files in file_groups(footers)
+        mapper.remote(delivery.schema, normalizer, seq, skip, edges, *parts)
+        for parts in part_groups(delivery)
     ]
     if b == 1:
         pieces = [[p] for p in pieces]
     merge = _merge_pieces.options(**env)
-    ray.get([merge.remote(merger_kwargs, *ranged) for ranged in zip(*pieces)])
+    return [merge.remote(merger_kwargs, *ranged) for ranged in zip(*pieces)]
 
 
 def replay(
@@ -390,13 +384,10 @@ def replay(
     - ``_debug_skip_partitions``: test hook simulating a mid-run crash (the
       listed partitions are dropped before merge, leaving them uncommitted).
 
-    A path whose footers count at most ``SMALL_DELIVERY_ROWS`` rows runs
-    ``merge_small``, a larger one ``merge_exchange``, and a Dataset Ray
-    Data's exchange.  That runs Ray Data's default pull-based sort in the
-    ``DataContext`` that ``keyed_fold`` gives the executed plan, so neither
-    the caller's Dataset nor the process-wide context is changed.  The
-    push-based sort was no faster at 4 CPUs and held more memory
-    (BASELINE.md).
+    ``input_path`` is a Parquet change log's path, read from its footers,
+    or a Dataset, materialized once (the hot-key pre-pass reads the same
+    blocks).  Either delivery of at most ``SMALL_DELIVERY_ROWS`` rows runs
+    ``merge_small``, a larger one ``merge_exchange``.
     """
     run_id = run_id or uuid.uuid4().hex[:8]
     paths = out_paths(spec)
@@ -426,28 +417,22 @@ def replay(
     # belongs to no commit, and directory-scan readers
     # (ray.data.read_parquet(dir)) would otherwise pick it up.
     mf.roll_forward(spec.out_dir)
-    for p in [*paths.values(), spec.out_dir]:  # the job-manifest tmp at the root too
+    for p in paths.values():
         for f in glob.glob(os.path.join(p, "*.tmp-*")):
             os.remove(f)
 
-    # a path's footers, read once: files, unified schema and row count
-    footers = read_footers(input_path) if isinstance(input_path, str) else None
-    # date-bound replay (reference DateTimeFilter analog): a vectorized
-    # predicate right after the scan — rows outside the bound never reach
-    # the digest or the shuffle
-    seq = (spec.min_seq, spec.max_seq)
-    changes = input_path
-    if footers is None and seq != (None, None):
-        changes = changes.map_batches(
-            seq_bound, batch_format="pyarrow", fn_kwargs={"lo": seq[0], "hi": seq[1]}
-        )
+    # a path's footers, read once: files, unified schema and row count; a
+    # Dataset, executed once: its blocks
+    changes = None if isinstance(input_path, str) else input_path.materialize()
+    delivery = read_footers(input_path) if changes is None else read_blocks(changes)
 
     hot_keys = None
     if spec.salt_buckets > 1 and spec.hot_key_threshold > 0:
-        if footers is not None:
-            hot_keys = sampled_hot_keys(footers, spec.hot_key_threshold)
+        if changes is None:
+            hot_keys = sampled_hot_keys(delivery, spec.hot_key_threshold)
         else:
             hot_keys = find_hot_keys(changes, spec.hot_key_threshold) or None
+    del changes  # the delivery holds the blocks now
 
     # exactly-once requires a STABLE event->partition mapping across runs:
     # update mode must replay with the same partitioning parameters, and a
@@ -530,23 +515,18 @@ def replay(
         num_partitions=spec.num_partitions,
     )
     # every merge task writes its outputs (hot-key winners included) and
-    # commits them in one task record, with its partitions' records
-    if footers is not None:
-        plan = merge_small if footers.rows <= SMALL_DELIVERY_ROWS else merge_exchange
-        plan(
-            footers, _normalizer(spec, hot_keys, modifier_specs), merger_kwargs,
-            spec.num_partitions, seq, skip_arr,
-        )
-    else:
-        norm = normalized(changes, spec, hot_keys, modifier_specs)
-        if skip_arr is not None:
-            norm = norm.map_batches(
-                drop_partitions, batch_format="pyarrow", fn_kwargs={"pids": skip_arr}
-            )
-        # materialize() executes the merge exactly once
-        merged = merged_groups(norm, merger_kwargs, spec.num_partitions).materialize()
-        if os.environ.get("GRAFT_REPLAY_STATS"):  # per-stage wall-time breakdown
-            print(merged.stats(), file=sys.stderr)
+    # commits them in one task record, with its partitions' records.  The
+    # date bound (reference DateTimeFilter analog) is a predicate right
+    # after each task's read: rows outside it never reach the digest
+    plan = merge_small if delivery.rows <= SMALL_DELIVERY_ROWS else merge_exchange
+    merged = plan(
+        delivery, _normalizer(spec, hot_keys, modifier_specs), merger_kwargs,
+        spec.num_partitions, (spec.min_seq, spec.max_seq), skip_arr,
+    ) if delivery.parts else []  # an empty Dataset has no block to read
+    # the tasks' arguments hold a Dataset's blocks from here on, so each
+    # block is freed when the last task that reads it ends
+    del delivery
+    ray.get(merged)
     # one fold of every hot run (this run's, prior runs', a skipped
     # partition's, the transition file) and the dims from the partials
     fold_hot_runs(spec.out_dir, reduce_hot_rows)

@@ -7,6 +7,8 @@ Two entry points:
   opened once, for the file list, the row count and the unified schema
   (files with/without the added ``size`` column, pruned to the engine's
   columns); ``read_changes`` builds a Ray Data read from them.
+  ``read_blocks(ds)`` describes a materialized Dataset's Arrow blocks the
+  same way, as a ``Delivery``: what ``cdc_replay.replay``'s tasks read.
 
 - ``changes_from_events(sf_dir)``: derive a deterministic change stream
   from the driver's ``events`` table with arithmetic that is expressible
@@ -32,21 +34,23 @@ _READ_COLUMNS = ["repo", "path", "commit", "lang", "commit_seq", "op", "content"
 
 
 @dataclasses.dataclass(frozen=True)
-class Footers:
-    """What a Parquet change log's footers say, read once: the files, each
-    file's row count, and the unified schema every file is read with."""
+class Delivery:
+    """A change delivery as the replay's tasks read it, sized before any
+    row is read: its parts, each part's row count, and the unified schema
+    every part is read with.  A part is a Parquet file (``read_footers``)
+    or an Arrow block of a materialized Dataset (``read_blocks``), which
+    carries its own schema (``schema`` is None)."""
 
-    path: str | list[str]
-    files: tuple[str, ...]
-    file_rows: tuple[int, ...]
-    schema: pa.Schema
+    parts: tuple
+    part_rows: tuple[int, ...]
+    schema: pa.Schema | None
 
     @property
     def rows(self) -> int:
-        return sum(self.file_rows)
+        return sum(self.part_rows)
 
 
-def read_footers(path: str | list[str]) -> Footers:
+def read_footers(path: str | list[str]) -> Delivery:
     """Open every footer of the change log at ``path`` (a file, a directory
     or a list of files) once.
 
@@ -67,7 +71,15 @@ def read_footers(path: str | list[str]) -> Footers:
         rows.append(frag.metadata.num_rows)
     cols = _READ_COLUMNS + (["size"] if "size" in names else [])
     schema = pa.schema([CHANGES_V2.field(c) for c in cols])
-    return Footers(path, tuple(files), tuple(rows), schema)
+    return Delivery(tuple(files), tuple(rows), schema)
+
+
+def read_blocks(ds: rd.Dataset) -> Delivery:
+    """A materialized Dataset's non-empty blocks as Arrow ``ObjectRef``s,
+    in order, counted by their metadata: no block is fetched."""
+    rows = [m.num_rows for b in ds.iter_internal_ref_bundles() for _, m in b.blocks]
+    blocks = [(ref, n) for ref, n in zip(ds.to_arrow_refs(), rows) if n]
+    return Delivery(tuple(r for r, _ in blocks), tuple(n for _, n in blocks), None)
 
 
 def read_changes(path: str | list[str], *, with_content: bool = True) -> rd.Dataset:
@@ -76,8 +88,9 @@ def read_changes(path: str | list[str], *, with_content: bool = True) -> rd.Data
 
     ``cdc_replay.replay`` reads a path delivery with plain Ray tasks, from
     its footers; it reads through here only for the hot-key pre-pass of a
-    sample over 2 GB.  A caller hands ``replay`` the Dataset this returns
-    to run Ray Data's plan."""
+    sample over 2 GB.  A Dataset this returns, handed to ``replay``, is
+    materialized once and its blocks run the same task plans as a path;
+    ``replay_table`` runs it through Ray Data's ``keyed_fold``."""
     from ..util import cluster_cpus
 
     footers = read_footers(path)
@@ -92,8 +105,8 @@ def read_changes(path: str | list[str], *, with_content: bool = True) -> rd.Data
     # with more files than CPUs reads several files per task.  Decode
     # parallelism is therefore at most the file count, so write logs as
     # many bounded-size segments, not a few giant files.
-    blocks = max(1, min(len(footers.files), cluster_cpus()))
-    return rd.read_parquet(footers.path, schema=schema, override_num_blocks=blocks)
+    blocks = max(1, min(len(footers.parts), cluster_cpus()))
+    return rd.read_parquet(path, schema=schema, override_num_blocks=blocks)
 
 
 def read_changes_table(path: str) -> pa.Table:

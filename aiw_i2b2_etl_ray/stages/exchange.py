@@ -8,7 +8,7 @@ dest/I2b2QueryResultsHandler.java:97-161):
       -> sort(_bucket, B - 1 explicit boundaries)              # THE shuffle
       -> map_batches(kernel, one call per block)               # B tasks
 
-B is ``min(num_buckets, tasks or util.cluster_cpus())``.  Every row of a
+B is ``min(num_buckets, util.cluster_cpus())``.  Every row of a
 bucket lands in exactly one block, so every key's rows reach exactly one
 kernel call.  A kernel therefore sees many keys at once and groups them
 itself (polars ``group_by``, ``.over(key)``); there is no per-group
@@ -36,12 +36,12 @@ from ..util import cluster_cpus, worker_runtime_env
 
 
 def fold_bounds(num_buckets: int, tasks: int | None = None) -> list[int]:
-    """The B - 1 boundaries of the fold's contiguous bucket ranges, B =
+    """The B - 1 boundaries of contiguous bucket ranges, B =
     ``min(num_buckets, tasks or util.cluster_cpus())``: range ``i`` holds
     the buckets in ``[bounds[i - 1], bounds[i])``, as Ray's sort splits at
-    them.  The replay's path plans (``cdc_replay.merge_small`` and
-    ``merge_exchange``) take the same ranges, so all of its plans cut the
-    partitions alike."""
+    them.  ``keyed_fold`` leaves ``tasks`` unset; the replay's task plans
+    (``cdc_replay.merge_small`` and ``merge_exchange``) pass their merge
+    task count, which also grows with the delivery's rows."""
     b = max(1, min(num_buckets, tasks or cluster_cpus()))
     return [num_buckets * i // b for i in range(1, b)]
 
@@ -52,7 +52,6 @@ def keyed_fold(
     kernel,
     num_buckets: int = 1 << 16,
     *,
-    tasks: int | None = None,
     fn_kwargs: dict | None = None,
 ) -> rd.Dataset:
     """Co-locate ``ds`` by key and call ``kernel(block: pa.Table) ->
@@ -68,7 +67,7 @@ def keyed_fold(
     so the operator is named ``MapBatches(<kernel>)``.  The returned
     Dataset carries its own copy of ``ds``'s ``DataContext``, with the
     per-operator reservation off."""
-    bounds = fold_bounds(num_buckets, tasks)
+    bounds = fold_bounds(num_buckets)
     if not bounds:
         ds = ds.repartition(1)
     elif isinstance(by, str):

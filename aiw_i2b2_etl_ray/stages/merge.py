@@ -3,16 +3,18 @@ temp-table -> ``EK_*`` merge stored procedures
 (dest/I2b2QueryResultsHandler.java:508-686; proc contract :97-161; H2 mocks
 src/main/resources/sql/mock_stored_procedures_h2.sql:22-92).
 
-Physical plan: ``keyed_fold(ds, "pkey", ...)`` (stages/exchange.py) — a
-sort at explicit boundaries on the int32 partition key (the ONLY wide
-shuffle in the pipeline, ~100 B/row because content was digested in
-normalize) into one block per contiguous pkey range, as many ranges as
-the cluster has CPUs, or more for a large delivery
+Physical plan: the replay's rows are co-located by the int32 partition
+key into one block per contiguous pkey range (the ONLY wide exchange in
+the pipeline, ~100 B/row because content was digested in normalize), as
+many ranges as the cluster has CPUs, or more for a large delivery
 (``cdc_replay.merge_tasks``; at most one per partition); then one
-vectorized ``PartitionMerger`` call per block in a stateless task.  A
-block holds many partitions: the merge runs its chain once over all of
-them, keyed by ``(pkey, repo, path)``, and splits the outputs per
-partition only when it writes them.
+vectorized ``PartitionMerger`` call per block in a stateless task.
+``cdc_replay.replay`` does it with plain Ray tasks (``merge_exchange``'s
+map tasks cut their rows into the ranges, or ``merge_small``'s range
+tasks each keep their own); ``replay_table`` with ``keyed_fold(ds,
+"pkey", ...)`` (stages/exchange.py).  A block holds many partitions: the
+merge runs its chain once over all of them, keyed by ``(pkey, repo,
+path)``, and splits the outputs per partition only when it writes them.
 
 Per-partition merge semantics (all vectorized via polars; no Python row
 loops):
@@ -225,8 +227,8 @@ def fan_out_facts(df: pl.DataFrame, modifier_names: tuple = ()) -> pl.DataFrame:
 
 
 class PartitionMerger:
-    """The merge of one block of the keyed exchange, built inside a
-    stateless task (``cdc_replay``'s merge tasks); ``__init__`` fetches the
+    """The merge of one pkey range's block, built inside a stateless task
+    (``cdc_replay``'s merge tasks); ``__init__`` fetches the
     broadcast watermark map, its only state, from the local object store.
     A block may hold any number of partitions (``pkey`` values).
 

@@ -1,14 +1,15 @@
 """The keyed exchange dispatches each of its stages as one wave.
 
-Ray Data's per-operator reservation ran the replay's normalize tasks one
-after another and, at a 512 MiB object store, its merge tasks in two
-waves.  ``keyed_fold`` turns the reservation off for the plan it returns,
-in a ``DataContext`` of its own.  These tests read the schedule from
-``ray.timeline()`` for a Dataset input, which runs that plan, and check
-that neither the caller's Dataset nor the process-wide context changes.
-A path input runs plain Ray tasks: on this small log its fused range
-tasks, or, with ``SMALL_DELIVERY_ROWS = 0``, the task exchange's map
-tasks and then its merge tasks; each kind starts as one wave too.
+Ray Data's per-operator reservation ran the normalize tasks of
+``replay_table``'s plan one after another and, at a 512 MiB object store,
+its merge tasks in two waves.  ``keyed_fold`` turns the reservation off
+for the plan it returns, in a ``DataContext`` of its own.  These tests
+read the schedule from ``ray.timeline()`` for ``replay_table`` of a
+Dataset, which runs that plan, and check that neither the caller's
+Dataset nor the process-wide context changes.  ``replay`` runs plain Ray
+tasks for any input: on this small log its fused range tasks, or, with
+``SMALL_DELIVERY_ROWS = 0``, the task exchange's map tasks and then its
+merge tasks; each kind starts as one wave too.
 """
 
 import json
@@ -30,7 +31,7 @@ from .util import run_in_session
 NORMALIZE = "MapBatches(Normalizer)"
 MERGE = "MapBatches(_merge_group)"
 RANGE = "_merge_range"
-MAP = "_map_files"
+MAP = "_map_parts"
 PIECES = "_merge_pieces"
 NUM_PARTITIONS = 8
 #: settings a replay could leave behind in a context
@@ -93,18 +94,25 @@ def assert_two_waves(spans: dict[str, list[tuple]], maps: int) -> None:
 
 
 def map_tasks(log: str) -> int:
-    return len(cdc_replay.file_groups(read_footers(log)))
+    return len(cdc_replay.part_groups(read_footers(log)))
 
 
 def timed_replay(log, out_dir: str) -> tuple[float, float]:
-    """The replay's window in µs, as ``ray.timeline()`` stamps events."""
+    """The replay's window in µs, as ``ray.timeline()`` stamps events: of
+    ``replay`` for a path, of ``replay_table``'s Ray Data plan for a
+    Dataset."""
     t0 = time.time()
-    cdc_replay.replay(log, ReplaySpec(out_dir=out_dir, num_partitions=NUM_PARTITIONS))
+    if isinstance(log, str):
+        cdc_replay.replay(log, ReplaySpec(out_dir=out_dir, num_partitions=NUM_PARTITIONS))
+    else:
+        cdc_replay.replay_table(log, emit="path_dim", num_partitions=NUM_PARTITIONS).materialize()
     return t0 * 1e6, time.time() * 1e6
 
 
 @pytest.mark.parametrize("kind", ["path", "dataset"])
 def test_replay_runs_each_stage_in_one_wave(four_file_log, tmp_path, kind, monkeypatch):
+    """A path replay's task exchange, and ``replay_table``'s keyed fold
+    over a Dataset: each stage starts as one wave."""
     monkeypatch.setattr(cdc_replay, "SMALL_DELIVERY_ROWS", 0)
 
     def log():
@@ -135,16 +143,18 @@ _SMALL_STORE_SCRIPT = """
 import json, sys, time
 from aiw_i2b2_etl_ray.config import ReplaySpec
 from aiw_i2b2_etl_ray.pipelines import cdc_replay
-from aiw_i2b2_etl_ray.pipelines.cdc_replay import replay
+from aiw_i2b2_etl_ray.pipelines.cdc_replay import replay, replay_table
 from aiw_i2b2_etl_ray.sources.changes import read_changes
 cdc_replay.SMALL_DELIVERY_ROWS = 0  # the task exchange, on a small log
 log, out, partitions = sys.argv[1], sys.argv[2], int(sys.argv[3])
 windows = {}
 for kind in ("path", "dataset"):
-    for i in range(2):  # the first replay starts the worker pool
+    for i in range(2):  # the first run starts the worker pool
         t0 = time.time()
-        replay(log if kind == "path" else read_changes(log),
-               ReplaySpec(out_dir=f"{out}/{kind}{i}", num_partitions=partitions))
+        if kind == "path":
+            replay(log, ReplaySpec(out_dir=f"{out}/{kind}{i}", num_partitions=partitions))
+        else:  # the keyed fold's plan
+            replay_table(read_changes(log), emit="path_dim", num_partitions=partitions).materialize()
         windows[kind] = (t0 * 1e6, time.time() * 1e6)
 tasks = [e for e in ray.timeline() if e.get("cat", "").startswith("task::")]
 print(json.dumps({"windows": windows, "events": tasks}))
@@ -154,9 +164,10 @@ ray.shutdown()
 
 def test_merge_runs_in_one_wave_at_a_small_object_store(four_file_log, tmp_path):
     """At the benchmark's 512 MiB store the reservation's guess of a merge
-    task's output (2 x target_max_block_size) admitted one merge task
-    before the rest; a session of its own, as the store size is set at
-    ``ray.init``.  The task exchange runs in two waves there too."""
+    task's output (2 x target_max_block_size) admitted one of
+    ``replay_table``'s merge tasks before the rest; a session of its own,
+    as the store size is set at ``ray.init``.  A path replay's task
+    exchange runs in two waves there too."""
     out = run_in_session(
         _SMALL_STORE_SCRIPT,
         four_file_log,

@@ -55,7 +55,7 @@ def test_sampled_prepass_skips_a_sample_no_key_can_fill(tmp_path, monkeypatch, n
     for i in range(n_files):
         pq.write_table(_keys(), str(tmp_path / f"part-{i:05d}.parquet"))
     footers = read_footers(str(tmp_path))
-    sample = list(footers.files[:: 4 if n_files >= 8 else 1])
+    sample = list(footers.parts[:: 4 if n_files >= 8 else 1])
     rows = len(_keys()) * len(sample)
     scans = []
     orig = cdc_replay._duckdb

@@ -55,24 +55,24 @@ def test_every_key_reaches_exactly_one_call(keys):
 
 
 def test_stats_show_one_task_per_range():
-    """B = min(num_buckets, CPUs) tasks, or the task count a caller asks
-    for, each named after the kernel."""
+    """B = min(num_buckets, CPUs) tasks, each named after the kernel."""
     cpus = int(ray.cluster_resources()["CPU"])
     ds = rd.from_items(_rows(), override_num_blocks=6)
-    for num_buckets, tasks, b in ((1 << 16, None, cpus), (2, None, min(2, cpus)), (64, 6, 6)):
+    for num_buckets, b in ((1 << 16, cpus), (2, min(2, cpus))):
         out = keyed_fold(
-            ds, ["repo", "path"], tally, num_buckets, tasks=tasks,
-            fn_kwargs={"keys": ["repo", "path"]},
+            ds, ["repo", "path"], tally, num_buckets, fn_kwargs={"keys": ["repo", "path"]}
         ).materialize()
         assert f"MapBatches(tally): {b} tasks executed" in out.stats(), out.stats()
 
 
 def test_pre_bucketed_column_keeps_whole_contiguous_ranges():
     """An int column already in [0, num_buckets) is not hashed: each call
-    gets whole values of it, all from one range [P*i//B, P*(i+1)//B)."""
-    p, b = 16, 4
+    gets whole values of it, all from one range [P*i//B, P*(i+1)//B),
+    B = min(P, CPUs)."""
+    p = 16
+    b = min(p, int(ray.cluster_resources()["CPU"]))
     ds = rd.from_items([{"pid": i % p, "v": i} for i in range(4000)], override_num_blocks=5)
-    out = keyed_fold(ds, "pid", tally, p, tasks=b, fn_kwargs={"keys": ["pid"]}).to_pandas()
+    out = keyed_fold(ds, "pid", tally, p, fn_kwargs={"keys": ["pid"]}).to_pandas()
     assert not out["key"].duplicated().any()
     assert dict(zip(out["key"].astype(int), out["n"])) == {i: 250 for i in range(p)}
     ranges = [range(p * i // b, p * (i + 1) // b) for i in range(b)]
@@ -83,8 +83,9 @@ def test_pre_bucketed_column_keeps_whole_contiguous_ranges():
 
 
 def test_one_task_coalesces_all_rows():
+    """One bucket is one range: the input coalesced into one block."""
     ds = rd.from_items(_rows(), override_num_blocks=6)
-    out = keyed_fold(ds, ["repo"], tally, tasks=1, fn_kwargs={"keys": ["repo"]}).materialize()
+    out = keyed_fold(ds, ["repo"], tally, 1, fn_kwargs={"keys": ["repo"]}).materialize()
     assert "MapBatches(tally): 1 tasks executed" in out.stats(), out.stats()
     assert out.to_pandas()["call"].nunique() == 1
 

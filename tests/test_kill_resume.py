@@ -309,7 +309,7 @@ def test_orphan_tmp_files_are_reaped_on_resume(tiny_changes, tmp_path):
         with open(p, "wb") as f:
             f.write(b"\x00partial parquet garbage")  # not a valid file
         planted.append(p)
-    planted.append(os.path.join(spec.out_dir, "job.json.tmp-deadbeef"))
+    planted.append(os.path.join(paths["_manifest"], "job.json.tmp-deadbeef"))
     with open(planted[-1], "w") as f:
         f.write("{")
 

@@ -4,9 +4,9 @@ An actor pool at the merge held a CPU per actor: with one logical CPU the
 pool took the only slot while the read/normalize/sort tasks it waited on
 could not be scheduled, and a replay never finished.  These tests pin the
 task-based plan and run a salted replace + update pair in a Ray session of
-its own with ``num_cpus=1``.  The Ray Data plan tests feed a Dataset
-input, which is the input that runs it; a path's task exchange is checked
-from ``ray.timeline()``.
+its own with ``num_cpus=1``.  The Ray Data plan tests run
+``replay_table`` of a Dataset, the replay that still plans one; a
+``replay``'s task exchange is checked from ``ray.timeline()``.
 """
 
 import json
@@ -97,9 +97,9 @@ def test_one_cpu_salted_replay_and_update_match_oracle(tmp_path):
     assert_table_eq(load_path_dim(out), want.path_dim, ["repo", "path"])
 
 
-def test_checkpoint_merge_runs_as_tasks(tmp_path, tiny_changes, monkeypatch):
-    """A checkpoint replay's merge stage plans as a task-pool operator, and
-    no operator of its plan is an actor pool."""
+def test_checkpoint_merge_runs_as_tasks(tiny_changes, monkeypatch):
+    """``replay_table``'s merge stage plans as a task-pool operator, and no
+    operator of its plan is an actor pool."""
     # private Ray Data API (the planner and ``Dataset._plan``), checked
     # against ray 2.49.2: the physical operator class is the only place the
     # task/actor choice shows before execution
@@ -118,19 +118,16 @@ def test_checkpoint_merge_runs_as_tasks(tmp_path, tiny_changes, monkeypatch):
         return ds
 
     monkeypatch.setattr(cdc_replay, "merged_groups", capture)
-    spec = ReplaySpec(
-        out_dir=str(tmp_path / "out"), num_partitions=8, salt_buckets=4, hot_key_threshold=50
-    )
-    summary = cdc_replay.replay(read_changes(tiny_changes), spec)
-    assert summary["partitions"] > 0
+    out = cdc_replay.replay_table(read_changes(tiny_changes), emit="path_dim", num_partitions=8)
+    assert out.count() > 0
     assert ("TaskPoolMapOperator", "MapBatches(_merge_group)") in plans, plans
     assert not [op for op in plans if op[0] == "ActorPoolMapOperator"], plans
 
 
-def test_replay_reads_fused_and_merges_in_one_task_per_range(tmp_path, tiny_changes, monkeypatch):
-    """The read and ``Normalizer`` fuse into one operator (the read is not
-    split), and the merge runs B = min(num_partitions, CPUs) task-pool
-    tasks, one per pkey range."""
+def test_replay_reads_fused_and_merges_in_one_task_per_range(tiny_changes, monkeypatch):
+    """In ``replay_table``'s plan the read and ``Normalizer`` fuse into one
+    operator (the read is not split), and the merge runs B =
+    min(num_partitions, CPUs) task-pool tasks, one per pkey range."""
     import ray
     from ray.data._internal.logical.optimizers import get_execution_plan
 
@@ -149,12 +146,9 @@ def test_replay_reads_fused_and_merges_in_one_task_per_range(tmp_path, tiny_chan
         return ds
 
     monkeypatch.setattr(cdc_replay, "merged_groups", capture)
-    spec = ReplaySpec(
-        out_dir=str(tmp_path / "out"), num_partitions=8, salt_buckets=4, hot_key_threshold=50
-    )
-    cdc_replay.replay(read_changes(tiny_changes), spec)
-    b = cdc_replay.merge_tasks(spec.num_partitions)
-    assert b == min(spec.num_partitions, int(ray.cluster_resources()["CPU"])) > 1
+    cdc_replay.replay_table(read_changes(tiny_changes), emit="path_dim", num_partitions=8)
+    b = cdc_replay.merge_tasks(8)
+    assert b == min(8, int(ray.cluster_resources()["CPU"])) > 1
     assert ("TaskPoolMapOperator", "ReadParquet->MapBatches(Normalizer)") in plans, plans
     assert f"MapBatches(_merge_group): {b} tasks executed" in stats[0], stats[0]
 

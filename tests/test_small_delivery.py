@@ -1,11 +1,12 @@
-"""A path delivery skips Ray Data, and all three plans agree.
+"""A replay skips Ray Data's exchange, and both plans agree on every input.
 
-``cdc_replay.replay`` runs B fused range tasks for a path whose footers
-count at most ``SMALL_DELIVERY_ROWS`` rows (``merge_small``), the task
-exchange for a larger one (``merge_exchange``: M map tasks, then B merge
-tasks), and Ray Data's ``keyed_fold`` plan for a Dataset input.  Every
-case here runs on all three plans (the task exchange forced by
-``SMALL_DELIVERY_ROWS = 0``, the Dataset plan by handing ``replay`` a
+``cdc_replay.replay`` runs B fused range tasks for a delivery of at most
+``SMALL_DELIVERY_ROWS`` rows (``merge_small``) and the task exchange for
+a larger one (``merge_exchange``: M map tasks, then B merge tasks),
+whether the delivery is a path's Parquet files or a materialized
+Dataset's blocks.  Every case here runs three times: a path on the fused
+plan, a path on the task exchange (forced by ``SMALL_DELIVERY_ROWS =
+0``), and a Dataset on the task exchange (``replay`` handed a
 ``read_changes`` of the path); each out_dir is checked against
 ``oracle.replay``, and the three out_dirs must hold the same bytes in
 every file.
@@ -23,14 +24,16 @@ import pytest
 from aiw_i2b2_etl_ray import oracle
 from aiw_i2b2_etl_ray.config import ModifierSpec, ReplaySpec
 from aiw_i2b2_etl_ray.pipelines import cdc_replay
-from aiw_i2b2_etl_ray.sources.changes import Footers, read_changes, read_changes_table
+from aiw_i2b2_etl_ray.sources.changes import Delivery, read_changes, read_changes_table
 from aiw_i2b2_etl_ray.stages.merge import load_path_dim
 from aiw_i2b2_etl_ray.state import manifest as mf
 
 from .util import assert_table_eq
 
 #: each plan's entry point in ``cdc_replay``
-PLANS = {"fused": "merge_small", "exchange": "merge_exchange", "dataset": "merged_groups"}
+PLANS = {"fused": "merge_small", "exchange": "merge_exchange"}
+#: the three runs of a case: (input, the plan it runs)
+LEGS = {"fused": ("path", "fused"), "exchange": ("path", "exchange"), "dataset": ("dataset", "exchange")}
 COLD = dict(num_partitions=8, salt_buckets=1, hot_key_threshold=0)
 SALTED = dict(num_partitions=8, salt_buckets=4, hot_key_threshold=40)
 _SCHEMA = pa.schema(
@@ -264,61 +267,114 @@ def _record_plans(monkeypatch) -> list[str]:
     return ran
 
 
+def _as_dataset(monkeypatch) -> None:
+    """From here on, ``replay`` of a path replays ``read_changes`` of it."""
+    replay = cdc_replay.replay
+    monkeypatch.setattr(cdc_replay, "replay", lambda log, *a, **k: replay(read_changes(log), *a, **k))
+
+
 @pytest.mark.parametrize("case", list(CASES))
 def test_both_plans_match_the_oracle_and_each_other(case, tmp_path, monkeypatch):
-    """Both path plans, fused and the task exchange, and a Dataset input
-    through ``keyed_fold``: each matches the oracle, byte for byte alike."""
+    """A path on both plans, fused and the task exchange, and a Dataset
+    input on the task exchange: each matches the oracle, byte for byte
+    alike."""
     trees = {}
     ran = _record_plans(monkeypatch)
-    bound, replay = cdc_replay.SMALL_DELIVERY_ROWS, cdc_replay.replay
-    for plan in PLANS:
+    bound = cdc_replay.SMALL_DELIVERY_ROWS
+    for leg, (kind, plan) in LEGS.items():
         monkeypatch.setattr(cdc_replay, "SMALL_DELIVERY_ROWS", 0 if plan == "exchange" else bound)
-        if plan == "dataset":
-            monkeypatch.setattr(cdc_replay, "replay", lambda log, *a, **k: replay(read_changes(log), *a, **k))
+        if kind == "dataset":
+            _as_dataset(monkeypatch)
         ran.clear()
-        out = str(tmp_path / plan / "out")
-        applies, kw = CASES[case](tmp_path / plan, out)
-        assert set(ran) == {plan}, (plan, ran)
+        out = str(tmp_path / leg / "out")
+        applies, kw = CASES[case](tmp_path / leg, out)
+        assert set(ran) == {plan}, (leg, ran)
         _check_oracle(out, applies, **kw)
-        trees[plan] = _tree(out)
+        trees[leg] = _tree(out)
     fused = trees["fused"]
-    for plan in ("exchange", "dataset"):
-        assert sorted(trees[plan]) == sorted(fused), plan
-        assert [f for f in fused if fused[f] != trees[plan][f]] == [], plan
+    for leg in ("exchange", "dataset"):
+        assert sorted(trees[leg]) == sorted(fused), leg
+        assert [f for f in fused if fused[f] != trees[leg][f]] == [], leg
 
 
 def test_the_bound_is_inclusive(tmp_path, monkeypatch):
-    """A path delivery of exactly ``SMALL_DELIVERY_ROWS`` rows takes the
-    fused plan; one row more takes the task exchange.  A Dataset input
-    takes Ray Data's plan whatever its size."""
+    """A delivery of exactly ``SMALL_DELIVERY_ROWS`` rows takes the fused
+    plan; one row more takes the task exchange.  A Dataset input follows
+    the same bound, by its materialized row count."""
     log = _write(_log(0, 400), tmp_path / "log")
     rows = sum(pq.read_metadata(f).num_rows for f in glob.glob(f"{log}/*.parquet"))
     ran = _record_plans(monkeypatch)
-    for bound in (rows, rows - 1):
-        monkeypatch.setattr(cdc_replay, "SMALL_DELIVERY_ROWS", bound)
-        cdc_replay.replay(log, ReplaySpec(out_dir=str(tmp_path / f"out{bound}"), **COLD))
-    cdc_replay.replay(read_changes(log), ReplaySpec(out_dir=str(tmp_path / "outds"), **COLD))
-    assert ran == ["fused", "exchange", "dataset"]
+    for kind in ("path", "dataset"):
+        for bound in (rows, rows - 1):
+            monkeypatch.setattr(cdc_replay, "SMALL_DELIVERY_ROWS", bound)
+            src = log if kind == "path" else read_changes(log)
+            cdc_replay.replay(src, ReplaySpec(out_dir=str(tmp_path / f"{kind}{bound}"), **COLD))
+    assert ran == ["fused", "exchange", "fused", "exchange"]
 
 
 def test_a_path_above_the_bound_builds_no_ray_data_plan(tmp_path, monkeypatch):
     """The task exchange reads, normalizes and exchanges with plain Ray
     tasks: a path replay over the bound, salted so that the hot pre-pass
-    runs, builds no Ray Data read and no keyed fold."""
+    runs, builds no Ray Data read and no keyed fold.  A Dataset replay
+    reads the caller's Dataset, then runs the same tasks: it builds no
+    normalize and no keyed fold."""
     import ray.data
 
     def no_ray_data(*a, **k):
-        raise AssertionError("a path replay built a Ray Data plan")
+        raise AssertionError("a replay built a Ray Data plan")
 
-    monkeypatch.setattr(ray.data, "read_parquet", no_ray_data)
-    monkeypatch.setattr(cdc_replay, "keyed_fold", no_ray_data)
     monkeypatch.setattr(cdc_replay, "SMALL_DELIVERY_ROWS", 0)
     base, tail = _log(0, 600, hot_from=300), _log(500, 900, hot_from=300)
+    logs = [_write(base, tmp_path / "base", files=3), _write(tail, tmp_path / "tail", files=3)]
+    for kind in ("path", "dataset"):
+        with monkeypatch.context() as m:
+            if kind == "path":
+                m.setattr(ray.data, "read_parquet", no_ray_data)
+            else:
+                logs = [read_changes(log) for log in logs]
+            for name in ("keyed_fold", "normalized", "merged_groups"):
+                m.setattr(cdc_replay, name, no_ray_data)
+            out = str(tmp_path / kind)
+            cdc_replay.replay(logs[0], ReplaySpec(out_dir=out, **SALTED))
+            cdc_replay.replay(logs[1], ReplaySpec(out_dir=out, mode="update", **SALTED))
+        assert mf.read_job_manifest(out)["hot_keys"], "the pre-pass must find the hot key"
+        _check_oracle(out, [base, tail])
+
+
+def test_a_salted_dataset_replay_executes_its_input_once(tmp_path):
+    """A Dataset input is materialized once: the hot-key pre-pass and the
+    map tasks read the same blocks.  Each call of the input's last
+    operator leaves one marker file."""
+    import ray.data
+
+    log = _write(_log(0, 900, hot_from=300), tmp_path / "log", files=3)
+    marks = tmp_path / "marks"
+    marks.mkdir()
+
+    def mark(t: pa.Table, d: str) -> pa.Table:
+        import uuid
+
+        open(os.path.join(d, uuid.uuid4().hex), "w").close()
+        return t
+
+    ds = ray.data.read_parquet(log, override_num_blocks=3)
+    blocks = ds.materialize().num_blocks()
+    ds = ds.map_batches(mark, batch_size=None, batch_format="pyarrow", fn_kwargs={"d": str(marks)})
     out = str(tmp_path / "out")
-    cdc_replay.replay(_write(base, tmp_path / "base", files=3), ReplaySpec(out_dir=out, **SALTED))
-    cdc_replay.replay(_write(tail, tmp_path / "tail", files=3), ReplaySpec(out_dir=out, mode="update", **SALTED))
-    assert mf.read_job_manifest(out)["hot_keys"], "the pre-pass must find the hot key"
-    _check_oracle(out, [base, tail])
+    cdc_replay.replay(ds, ReplaySpec(out_dir=out, **SALTED))
+    assert mf.read_job_manifest(out)["hot_keys"], "the pre-pass must run and find the hot key"
+    assert len(os.listdir(marks)) == blocks
+
+
+def test_an_empty_dataset_replays_to_no_rows(tmp_path):
+    """A Dataset with no rows materializes to no block: the replay runs
+    no task, and still writes its manifests."""
+    log = _write(_log(0, 300), tmp_path / "log")
+    empty = read_changes(log).filter(expr="commit_seq < 0")
+    out = str(tmp_path / "out")
+    summary = cdc_replay.replay(empty, ReplaySpec(out_dir=out, **SALTED))
+    assert summary["lineage"] == dict.fromkeys(("rows_applied", "dups_dropped", "conflicts_resolved", "rows_rejected"), 0)
+    assert mf.read_job_manifest(out) is not None
 
 
 @pytest.mark.parametrize("files, rows_per_file, cpus", [(23, 120_000, 4), (23, 1_000, 4), (3, 400_000, 8)])
@@ -327,8 +383,8 @@ def test_file_groups_are_contiguous_and_cover_every_file(files, rows_per_file, c
     of consecutive files, every file in exactly one."""
     monkeypatch.setattr(cdc_replay, "cluster_cpus", lambda: cpus)
     names = tuple(f"part-{i:05d}.parquet" for i in range(files))
-    footers = Footers("log", names, (rows_per_file,) * files, _SCHEMA)
-    groups = cdc_replay.file_groups(footers)
+    footers = Delivery(names, (rows_per_file,) * files, _SCHEMA)
+    groups = cdc_replay.part_groups(footers)
     by_rows = -(-files * rows_per_file // cdc_replay.MERGE_ROWS_PER_TASK)
     assert len(groups) == min(files, max(cpus, by_rows))
     assert all(groups) and tuple(f for g in groups for f in g) == names
